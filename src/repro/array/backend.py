@@ -379,6 +379,18 @@ class ArrayBackend:
         return ((ored >> np.arange(bits_x)) & 1).astype(bool)
 
     # -- compute ---------------------------------------------------------
+    def exact_decode(self, temp_c, retention=None):
+        """Whether every nominal chunk decodes its exact count at
+        ``(temp_c, retention)``.
+
+        When it holds, a nominal (variation-free) bit-serial matmul equals
+        the integer product ``x_codes @ w_codes``, and a caller may compute
+        that product directly instead of running the analog model.  This
+        default answers ``False``: the dense reference backend is the
+        oracle and always runs the analog model.
+        """
+        return False
+
     def matmul(self, programmed: ProgrammedArray, x_codes, *, temp_c,
                active_bits=None, retention=None):
         """Bit-serial matmul of unsigned activation codes against the
@@ -506,8 +518,16 @@ class FusedBitPlaneBackend(ArrayBackend):
         #: the undrifted key shape unchanged means pre-drift cache users
         #: (temperature sweeps) hit exactly the entries they always did.
         self._lut_cache = {}
+        #: Same keys as ``_lut_cache`` -> :meth:`exact_decode` verdict.
+        self._exact_cache = {}
 
     # -- cached per-temperature decode table -----------------------------
+    @staticmethod
+    def _lut_key(temp_c, f):
+        """Cache key of the decode at ``temp_c`` and retention fraction
+        ``f`` (already normalized by :func:`retention_fraction`)."""
+        return float(temp_c) if f is None else (float(temp_c), f)
+
     def decode_lut(self, temp_c, retention=None):
         """Decoded MAC count for every ``(n11, n_w1, n_x1)`` triple.
 
@@ -527,7 +547,7 @@ class FusedBitPlaneBackend(ArrayBackend):
         caches its own table.
         """
         f = retention_fraction(retention)
-        key = float(temp_c) if f is None else (float(temp_c), f)
+        key = self._lut_key(temp_c, f)
         lut = self._lut_cache.get(key)
         if lut is None:
             cfg = self.unit.config
@@ -558,6 +578,35 @@ class FusedBitPlaneBackend(ArrayBackend):
             lut = self.unit.sensor.decode(vacc).astype(np.int16).ravel()
             self._lut_cache[key] = lut
         return lut
+
+    def exact_decode(self, temp_c, retention=None):
+        """``True`` iff :meth:`decode_lut` is the identity on every
+        reachable triple: it returns ``S11`` for each ``(S11, W, n_x1)``
+        with ``S11 <= W``, ``S11 <= D * n_x1`` and
+        ``W - S11 <= D * (cells - n_x1)``, ``D = 2**bits_per_cell - 1``
+        (``n_x1`` high inputs gate a digit sum of at most ``D`` each, the
+        other ``cells - n_x1`` cells hold the rest of ``W``).  Unreachable
+        addresses are never gathered, so their entries do not matter.
+
+        The verdict is cached per ``(temp_c, retention)`` beside the LUT.
+        It is a property of the nominal decode only; arrays with
+        programmed-in variation decode explicitly whatever it says.
+        """
+        f = retention_fraction(retention)
+        key = self._lut_key(temp_c, f)
+        exact = self._exact_cache.get(key)
+        if exact is None:
+            cells = self.unit.config.cells_per_row
+            d = (1 << getattr(self.unit.config, "bits_per_cell", 1)) - 1
+            s11 = np.arange(cells * d + 1)[:, None, None]
+            w_sum = np.arange(cells * d + 1)[None, :, None]
+            n_x1 = np.arange(cells + 1)[None, None, :]
+            reachable = ((s11 <= w_sum) & (s11 <= d * n_x1)
+                         & (w_sum - s11 <= d * (cells - n_x1)))
+            lut = self.decode_lut(temp_c, f).reshape(reachable.shape)
+            exact = bool(np.all((lut == s11) | ~reachable))
+            self._exact_cache[key] = exact
+        return exact
 
     # -- fused plane stacks ----------------------------------------------
     @staticmethod

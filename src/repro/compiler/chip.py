@@ -30,6 +30,13 @@ the same matrix programmed onto one spanning array — so any chunk-aligned
 tiling is bit-identical to the legacy single-array path (enforced by
 ``tests/compiler/test_tiling.py``).
 
+Exact-decode fast path: when no tile carries programmed-in variation and
+the backend proves its decode is the identity at the read's temperature
+and retention (:meth:`~repro.array.backend.ArrayBackend.exact_decode`),
+the whole tile loop equals one integer product, and the chip serves the
+layer as one float64 GEMM — bit-identical, and metered exactly like the
+tile loop (``tests/compiler/test_exact_decode.py``).
+
 Timing/energy model: weight planes, chunks, and tiles are spatially
 parallel (each row has its own ADC and accumulation capacitor);
 activation rows and activation bit planes are time-multiplexed.  One
@@ -46,6 +53,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.array.backend import _validate_x_codes
 from repro.array.mac_unit import BehavioralMacConfig, BitSerialMacUnit
 from repro.array.timing import LatencySpec
 from repro.compiler.lowering import layer_matmul_weights
@@ -166,6 +174,10 @@ class ChipMeter:
             self.row_ops = 0
             self.bit_cycles = 0
             self.matmuls = 0
+            #: Layer matmuls the chip served as one exact GEMM / through
+            #: the backend's analog decode (see :meth:`Chip.matmul_codes`).
+            self.exact_layer_matmuls = 0
+            self.analog_layer_matmuls = 0
             self.writes = 0
             self.write_energy_j = 0.0
             self.write_latency_s = 0.0
@@ -182,11 +194,19 @@ class ChipMeter:
             self.row_ops += ops
             self.matmuls += 1
 
-    def record_cycles(self, *, rows, active_bits):
+    def record_cycles(self, *, rows, active_bits, exact=False):
         """Account the serial schedule of one *layer* matmul (all tiles of
-        a layer fire in parallel, so cycles accrue once per layer)."""
+        a layer fire in parallel, so cycles accrue once per layer).
+
+        ``exact`` says which simulator path computed it — the exact GEMM
+        or the analog decode; the modeled cycles are the same for both.
+        """
         with self._lock:
             self.bit_cycles += rows * active_bits
+            if exact:
+                self.exact_layer_matmuls += 1
+            else:
+                self.analog_layer_matmuls += 1
 
     def record_write(self, *, erase_cells, program_pulses, serial_depth,
                      reprogram=False):
@@ -247,6 +267,8 @@ class ChipMeter:
                 "row_ops": self.row_ops,
                 "bit_cycles": self.bit_cycles,
                 "matmuls": self.matmuls,
+                "exact_layer_matmuls": self.exact_layer_matmuls,
+                "analog_layer_matmuls": self.analog_layer_matmuls,
                 "energy_j": self.row_ops * self.energy_per_row_op_j,
                 "latency_s": self.bit_cycles * self.mac_latency_s,
                 "energy_per_mac_j": self.energy_per_mac_j,
@@ -335,6 +357,9 @@ class Chip:
             else {}
         if programmed is None:
             self._write_tiles()
+        #: layer index -> float64 (K, N) signed weight codes, built on the
+        #: first exact-path matmul of that layer.
+        self._layer_weights = {}
         #: Optional per-chip retention clock (:class:`DriftState`).
         #: ``None`` — the default — means stored state is treated as
         #: frozen, exactly the pre-drift behavior; sessions and pools
@@ -520,6 +545,34 @@ decode_live_planes`) or restored from an artifact.  The bound chip
     # ------------------------------------------------------------------
     # tiled matmul with partial-sum accumulation
     # ------------------------------------------------------------------
+    def _exact_weights(self, plan, temp_c, retention):
+        """The layer's signed weight codes as float64 ``(K, N)`` when one
+        GEMM reproduces the tiled bit-serial matmul exactly, else ``None``.
+
+        That holds when no tile carries programmed-in variation and the
+        backend proves its decode LUT is the identity at ``(temp_c,
+        retention)`` (:meth:`~repro.array.backend.ArrayBackend.\
+exact_decode`).  Then every chunk decodes its exact count ``n11``, the
+        layer-pinned plane schedule shift-adds the planes back to
+        ``w_codes``, and the active-bit mask drops only bits absent from
+        every activation code — so the tiled result is ``x_codes @
+        w_codes``.  Its partial sums are integers below ``2**53``, which
+        float64 BLAS adds exactly in any order.
+        """
+        if any(self._programmed[(t.layer_index, t.row_block,
+                                 t.col_block)].w_dv is not None
+               for t in plan.tiles):
+            return None
+        if not self.backend.exact_decode(temp_c, retention):
+            return None
+        weights = self._layer_weights.get(plan.index)
+        if weights is None:
+            weights = np.zeros((plan.k, plan.n))
+            for tile in plan.tiles:
+                weights[tile.k0:tile.k1, tile.n0:tile.n1] = tile.w_codes
+            self._layer_weights[plan.index] = weights
+        return weights
+
     def matmul_codes(self, plan, x_codes, *, temp_c):
         """Decoded integer matmul of unsigned activation codes against one
         layer's tile grid at ``temp_c``.
@@ -529,36 +582,51 @@ decode_live_planes`) or restored from an artifact.  The bound chip
         sums across row-block tiles per the compiled plan.  Every decoded
         count is an exact small integer times a power of two, so the
         accumulation order cannot introduce float error.
+
+        When the decode provably makes no errors (:meth:`_exact_weights`)
+        the layer runs as one float64 GEMM instead, bit-identical to the
+        tile loop.  The meter books the same row ops and cycles either
+        way; only ``exact_layer_matmuls`` / ``analog_layer_matmuls`` tell
+        the two paths apart.
         """
         x_codes = np.asarray(x_codes, dtype=np.int64)
         if x_codes.ndim != 2 or x_codes.shape[1] != plan.k:
             raise ValueError(
                 f"x_codes must be (M, {plan.k}) for layer {plan.index}, "
                 f"got {x_codes.shape}")
-        m = x_codes.shape[0]
+        # Once, before anything is metered: a rejected matmul books
+        # nothing on either path.
         bits_x = self.mapping.bits
+        _validate_x_codes(x_codes, bits_x)
+        m = x_codes.shape[0]
         ored = (int(np.bitwise_or.reduce(x_codes, axis=None))
                 if x_codes.size else 0)
         active = ((ored >> np.arange(bits_x)) & 1).astype(bool)
         n_active = int(active.sum())
-        self.meter.record_cycles(rows=m, active_bits=n_active)
 
         # One retention read per layer matmul: every tile of the chip has
         # aged identically (one die, one thermal history).  A fresh or
         # absent clock yields ``None``/``1.0``, which the backends gate
         # back to the literal undrifted code path.
         retention = None if self.drift is None else self.drift.retention()
-        out = np.zeros((m, plan.n))
+        weights = self._exact_weights(plan, temp_c, retention)
+        self.meter.record_cycles(rows=m, active_bits=n_active,
+                                 exact=weights is not None)
+        if weights is not None:
+            out = x_codes.astype(np.float64) @ weights
+            out += 0.0   # BLAS may emit -0.0; the tile loop sums into +0.0
+        else:
+            out = np.zeros((m, plan.n))
         for tile_ids in plan.psum_plan:
             for t in tile_ids:
                 tile = plan.tiles[t]
                 key = (tile.layer_index, tile.row_block, tile.col_block)
                 programmed = self._programmed[key]
-                counts = self.backend.matmul(
-                    programmed, x_codes[:, tile.k0:tile.k1],
-                    temp_c=temp_c, active_bits=active,
-                    retention=retention)
-                out[:, tile.n0:tile.n1] += counts
+                if weights is None:
+                    out[:, tile.n0:tile.n1] += self.backend.matmul(
+                        programmed, x_codes[:, tile.k0:tile.k1],
+                        temp_c=temp_c, active_bits=active,
+                        retention=retention)
                 self.meter.record(
                     key, rows=m, active_bits=n_active,
                     n_planes=programmed.n_planes,
