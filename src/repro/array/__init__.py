@@ -25,6 +25,7 @@ from repro.array.backend import (
     ArrayBackend,
     DenseNumpyBackend,
     FusedBitPlaneBackend,
+    GuardBand,
     ProgrammedArray,
     backend_names,
     engine_names,
@@ -48,6 +49,7 @@ __all__ = [
     "BACKENDS",
     "DenseNumpyBackend",
     "FusedBitPlaneBackend",
+    "GuardBand",
     "ProgrammedArray",
     "backend_names",
     "engine_names",

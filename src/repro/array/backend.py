@@ -38,7 +38,12 @@ implementations ship:
     accumulation voltage is affine in those three integers.  Decoded
     outputs are bit-identical to the dense backend (the equivalence suite
     enforces this), typically several times faster, and the LUT caches make
-    repeated temperature sweeps nearly free.
+    repeated temperature sweeps nearly free.  Arrays with programmed-in
+    variation serve through a *certified guard band* where the nominal
+    decode is exact: every (plane, chunk, column) entry whose worst-case
+    variation offset stays inside its nominal decode margin provably
+    decodes its exact count, so those entries run as one float64 GEMM
+    and only the rest are decoded explicitly.
 
 Both backends share :meth:`ArrayBackend.program`, so identical RNGs yield
 identical per-cell variation draws — the foundation of the dense-vs-fused
@@ -62,6 +67,9 @@ and the digit paths only run for ``b > 1`` — which is what keeps
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -70,8 +78,10 @@ import numpy as np
 __all__ = [
     "ArrayBackend",
     "BACKENDS",
+    "DecodeRecord",
     "DenseNumpyBackend",
     "FusedBitPlaneBackend",
+    "GuardBand",
     "ProgrammedArray",
     "backend_names",
     "engine_names",
@@ -172,6 +182,24 @@ def _digit_vacc(s11, w_sum, n_x1, cells, gain, z01, z00, s_on, s_off):
                    + n_x1 * z01 + (cells - n_x1) * z00)
 
 
+def _cell_offsets(xb, dv, n):
+    """Variation offsets ``sum_e xb[..., i, e] * dv[i, e]`` of gathered
+    entries, summed in the order the backends' ``einsum`` over a tile of
+    ``n`` columns sums them, so the float64 result is bitwise the same.
+
+    Over a tile of two or more columns that ``einsum`` runs the column
+    axis innermost and accumulates cell by cell from zero; over a single
+    column it reduces the contiguous cell axis in one SIMD pass, which an
+    ``einsum`` over this contiguous cell axis reproduces.
+    """
+    if n == 1:
+        return np.einsum("...ie,ie->...i", xb, dv)
+    offset = np.zeros(xb.shape[:-1])
+    for e in range(xb.shape[-1]):
+        offset += xb[..., e] * dv[:, e]
+    return offset
+
+
 @dataclass(eq=False)
 class ProgrammedArray:
     """A weight matrix written onto the array: planes, counts, variation.
@@ -219,6 +247,93 @@ class ProgrammedArray:
                 f"cells={self.cells}, "
                 f"bits_per_cell={self.bits_per_cell}, "
                 f"variation={self.w_dv is not None})")
+
+
+@dataclass(eq=False)
+class DecodeRecord:
+    """Everything the fused backend derives from the nominal decode at one
+    ``(temp_c, retention)``, built once from one voltage grid.
+
+    ``margin[0][W]`` / ``margin[1][W]`` are the smallest gaps from the
+    nominal eq. (1) voltage up / down to the edges of its decode bucket
+    (``thr[d-1] < v <= thr[d]``) over every reachable ``(S11, n_x1)`` with
+    stored digit sum ``W``, less a float64 slack (:attr:`SLACK_REL`,
+    :attr:`SLACK_V`); an open edge is ``inf``.  ``guard_bands`` caches
+    :class:`GuardBand` certificates per programmed tile at this key.
+    """
+
+    #: Float64 slack taken off every margin: relative to the largest
+    #: threshold magnitude, plus an absolute floor.  Rounding in the
+    #: explicit decode is ~1e-16 relative, far inside it.
+    SLACK_REL = 1e-9
+    SLACK_V = 1e-12
+
+    lut: np.ndarray           # flat int16 decode of every LUT address
+    exact: bool               # identity on every reachable triple
+    margin: np.ndarray        # (2, cells * D + 1) up/down headroom per W
+    guard_bands: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False)
+
+
+@dataclass(eq=False)
+class GuardBand:
+    """Certified guard band of one tile with variation at one key.
+
+    An entry (plane, chunk, column) is *certified* when both worst-case
+    variation offsets, ``gain * sum(max(f * w_dv, 0))`` upward and
+    ``gain * sum(max(-f * w_dv, 0))`` downward over its cells, fall
+    strictly below the entry's nominal margin at its digit sum: then it
+    decodes ``S11`` whatever the activations.  ``w_cert`` holds the
+    tile's signed weight codes with uncertified entries zeroed (so
+    ``x_codes @ w_cert`` is the certified entries' exact contribution);
+    the remaining arrays describe the uncertified entries, ordered by
+    column, for the explicit decode.
+    """
+
+    certified: np.ndarray     # (P, chunks, n) bool
+    w_cert: np.ndarray        # (chunks * cells, n) float64
+    chunk: np.ndarray         # (u,) chunk of each uncertified entry
+    digits: np.ndarray        # (u, cells) float64 stored digits
+    dv: np.ndarray            # (u, cells) retention-scaled offsets
+    w_sum: np.ndarray         # (u,) float64 digit sums
+    scale: np.ndarray         # (u,) int64 sign * 2**shift of the plane
+    starts: np.ndarray        # first entry of each column group
+    cols: np.ndarray          # column of each group
+
+    @property
+    def n_uncertified(self):
+        return int(self.chunk.size)
+
+
+class _LRU:
+    """A small thread-safe least-recently-used map."""
+
+    def __init__(self, maxsize):
+        self.maxsize = int(maxsize)
+        self._data = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def setdefault(self, key, value):
+        with self._lock:
+            value = self._data.setdefault(key, value)
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+            return value
+
+    def keys(self):
+        with self._lock:
+            return list(self._data)
+
+    def __len__(self):
+        return len(self._data)
 
 
 class ArrayBackend:
@@ -391,6 +506,15 @@ class ArrayBackend:
         """
         return False
 
+    def guard_band(self, programmed, temp_c, retention=None):
+        """The certified guard band ``programmed`` decodes under at
+        ``(temp_c, retention)``, or ``None`` when it runs no guard band.
+
+        This default answers ``None``: the dense reference backend decodes
+        every entry explicitly.
+        """
+        return None
+
     def matmul(self, programmed: ProgrammedArray, x_codes, *, temp_c,
                active_bits=None, retention=None):
         """Bit-serial matmul of unsigned activation codes against the
@@ -495,9 +619,12 @@ class FusedBitPlaneBackend(ArrayBackend):
        expression (hence bit-identical decodes) and cached.
 
     Arrays with programmed-in variation carry a continuous offset, so the
-    LUT shortcut does not apply; the fused path then still batches the
-    count matmul and the decode but assembles voltages explicitly, matching
-    the dense expression operation-for-operation.
+    LUT shortcut does not apply.  Where the nominal decode is exact, the
+    certified guard band (:meth:`guard_band`) serves the entries whose
+    worst-case offset stays inside their nominal margin as one GEMM;
+    elsewhere, and for the uncertified entries, the fused path assembles
+    voltages explicitly, matching the dense expression
+    operation-for-operation.
 
     Work is blocked over activation rows to bound peak memory
     (``block_budget`` intermediate elements per block).
@@ -510,16 +637,42 @@ class FusedBitPlaneBackend(ArrayBackend):
     #: shape at once, so it gets a proportionally smaller budget.
     block_budget = 16 * 2 ** 20
     block_budget_variation = 4 * 2 ** 20
+    #: Drifted ``(temp_c, retention)`` keys kept cached.  A drifting chip
+    #: reads a new retention every batch, so these keys rarely repeat
+    #: beyond one forward pass; undrifted keys are few and stay cached.
+    drifted_keys = 32
 
     def __init__(self, unit):
         super().__init__(unit)
-        #: float(temp_c) -> flat LUT for the undrifted decode;
-        #: (float(temp_c), retention) -> the drift-aged twin.  Keeping
-        #: the undrifted key shape unchanged means pre-drift cache users
-        #: (temperature sweeps) hit exactly the entries they always did.
-        self._lut_cache = {}
-        #: Same keys as ``_lut_cache`` -> :meth:`exact_decode` verdict.
-        self._exact_cache = {}
+        #: float(temp_c) -> :class:`DecodeRecord` of the undrifted decode.
+        #: Keeping the undrifted key shape unchanged means pre-drift cache
+        #: users (temperature sweeps) hit exactly the entries they always
+        #: did.
+        self._records = {}
+        #: (float(temp_c), retention) -> the drift-aged records, bounded.
+        #: Evicting a record drops its per-tile guard bands with it.
+        self._drifted = _LRU(self.drifted_keys)
+        #: Guards the per-record guard-band maps, which threads share.
+        self._lock = threading.Lock()
+
+        # What every record reads off its voltage grid, fixed per unit:
+        # the reachable ``(S11, W, n_x1)`` triples, listed by ``W`` — a
+        # chunk's ``n_x1`` high inputs gate a digit sum of at most ``D``
+        # each, its other ``cells - n_x1`` cells hold the rest of ``W``;
+        # unreachable addresses are never gathered — and the edges of
+        # each decode bucket, ``thr[d-1] < v <= thr[d]``.
+        cells = unit.config.cells_per_row
+        d = (1 << getattr(unit.config, "bits_per_cell", 1)) - 1
+        w, s11, n_x1 = np.ogrid[:cells * d + 1, :cells * d + 1, :cells + 1]
+        w, s11, n_x1 = np.nonzero((s11 <= w) & (s11 <= d * n_x1)
+                                  & (w - s11 <= d * (cells - n_x1)))
+        self._reachable = (
+            (s11 * (cells * d + 1) + w) * (cells + 1) + n_x1,   # LUT index
+            s11, np.flatnonzero(np.diff(w, prepend=-1)))        # W groups
+        thr = unit.sensor.thresholds
+        self._edges = np.concatenate(([-np.inf], thr, [np.inf]))
+        self._slack = (DecodeRecord.SLACK_REL * float(np.abs(thr).max())
+                       + DecodeRecord.SLACK_V)
 
     # -- cached per-temperature decode table -----------------------------
     @staticmethod
@@ -527,6 +680,54 @@ class FusedBitPlaneBackend(ArrayBackend):
         """Cache key of the decode at ``temp_c`` and retention fraction
         ``f`` (already normalized by :func:`retention_fraction`)."""
         return float(temp_c) if f is None else (float(temp_c), f)
+
+    def _record(self, temp_c, f):
+        """The cached :class:`DecodeRecord` at ``temp_c`` and normalized
+        retention fraction ``f``, built on first use."""
+        key = self._lut_key(temp_c, f)
+        cache = self._records if f is None else self._drifted
+        record = cache.get(key)
+        if record is None:
+            record = cache.setdefault(key, self._build_record(temp_c, f))
+        return record
+
+    def _nominal_vacc(self, s11, w_sum, n_x1, temp_c, f):
+        """Nominal eq. (1) voltage of chunks with counts ``(S11, W, n_x1)``
+        (``n11`` and ``n_w1`` on 1-bit cells) at ``temp_c`` and retention
+        fraction ``f`` — the dense backend's float expression, so the
+        LUT, the variation decode and the guard band agree with it bit
+        for bit."""
+        unit = self.unit
+        cells = unit.config.cells_per_row
+        gain = unit.config.sensing.share_gain(cells)
+        von, z10, z01, z00 = unit.drifted_levels(temp_c, f)
+        if getattr(unit.config, "bits_per_cell", 1) > 1:
+            s_on, s_off = unit.drifted_digit_steps(temp_c, f)
+            return _digit_vacc(s11, w_sum, n_x1, cells, gain,
+                               z01, z00, s_on, s_off)
+        n10 = w_sum - s11
+        n01 = n_x1 - s11
+        n00 = cells - w_sum - n_x1 + s11
+        return gain * (s11 * von + n10 * z10 + n01 * z01 + n00 * z00)
+
+    def _build_record(self, temp_c, f):
+        """Decode every ``(S11, W, n_x1)`` address once: the LUT, the exact
+        verdict and the per-``W`` margins all come from this voltage grid."""
+        cells = self.unit.config.cells_per_row
+        d = (1 << getattr(self.unit.config, "bits_per_cell", 1)) - 1
+        s11 = np.arange(cells * d + 1, dtype=np.float64)[:, None, None]
+        n_x1 = np.arange(cells + 1, dtype=np.float64)[None, None, :]
+        vacc = self._nominal_vacc(s11, s11.reshape(1, -1, 1), n_x1,
+                                  temp_c, f).ravel()
+        lut = self.unit.sensor.decode(vacc)
+        index, s11, groups = self._reachable
+        v, got = vacc[index], lut[index]
+        edges = self._edges
+        margin = np.stack([np.minimum.reduceat(edges[got + 1] - v, groups),
+                           np.minimum.reduceat(v - edges[got], groups)])
+        return DecodeRecord(lut=lut.astype(np.int16),
+                            exact=bool(np.array_equal(got, s11)),
+                            margin=margin - self._slack)
 
     def decode_lut(self, temp_c, retention=None):
         """Decoded MAC count for every ``(n11, n_w1, n_x1)`` triple.
@@ -546,38 +747,7 @@ class FusedBitPlaneBackend(ArrayBackend):
         whole LUT fast path; each distinct ``(temp_c, retention)`` pair
         caches its own table.
         """
-        f = retention_fraction(retention)
-        key = self._lut_key(temp_c, f)
-        lut = self._lut_cache.get(key)
-        if lut is None:
-            cfg = self.unit.config
-            cells = cfg.cells_per_row
-            bits_per_cell = getattr(cfg, "bits_per_cell", 1)
-            von, z10, z01, z00 = self.unit.drifted_levels(temp_c, f)
-            gain = cfg.sensing.share_gain(cells)
-            if bits_per_cell == 1:
-                grid = np.arange(cells + 1, dtype=np.float64)
-                n11 = grid[:, None, None]
-                n_w1 = grid[None, :, None]
-                n_x1 = grid[None, None, :]
-                n10 = n_w1 - n11
-                n01 = n_x1 - n11
-                n00 = cells - n_w1 - n_x1 + n11
-                vacc = gain * (n11 * von + n10 * z10 + n01 * z01
-                               + n00 * z00)
-            else:
-                digit_max = (1 << bits_per_cell) - 1
-                s_on, s_off = self.unit.drifted_digit_steps(temp_c, f)
-                dgrid = np.arange(cells * digit_max + 1, dtype=np.float64)
-                s11 = dgrid[:, None, None]
-                w_sum = dgrid[None, :, None]
-                n_x1 = np.arange(cells + 1,
-                                 dtype=np.float64)[None, None, :]
-                vacc = _digit_vacc(s11, w_sum, n_x1, cells, gain,
-                                   z01, z00, s_on, s_off)
-            lut = self.unit.sensor.decode(vacc).astype(np.int16).ravel()
-            self._lut_cache[key] = lut
-        return lut
+        return self._record(temp_c, retention_fraction(retention)).lut
 
     def exact_decode(self, temp_c, retention=None):
         """``True`` iff :meth:`decode_lut` is the identity on every
@@ -588,25 +758,70 @@ class FusedBitPlaneBackend(ArrayBackend):
         other ``cells - n_x1`` cells hold the rest of ``W``).  Unreachable
         addresses are never gathered, so their entries do not matter.
 
-        The verdict is cached per ``(temp_c, retention)`` beside the LUT.
-        It is a property of the nominal decode only; arrays with
-        programmed-in variation decode explicitly whatever it says.
+        The verdict is cached per ``(temp_c, retention)`` in the same
+        :class:`DecodeRecord` as the LUT.  It is a property of the nominal
+        decode; arrays with programmed-in variation build on it through
+        :meth:`guard_band`.
         """
+        return self._record(temp_c, retention_fraction(retention)).exact
+
+    # -- certified guard band --------------------------------------------
+    def guard_band(self, programmed, temp_c, retention=None):
+        """The certified :class:`GuardBand` of a tile with programmed-in
+        variation at ``(temp_c, retention)``, or ``None``.
+
+        ``None`` on nominal tiles (they decode through the LUT) and where
+        :meth:`exact_decode` fails, which leaves the explicit
+        :meth:`_decode_variation` path in charge.  The band is cached per
+        tile in the key's :class:`DecodeRecord` and held weakly, so a
+        replica with its own variation draw gets its own certificate and
+        a dropped chip frees its bands.  (``ProgrammedArray.cache`` is
+        shared between such replicas, so it cannot hold them.)
+        """
+        if programmed.w_dv is None:
+            return None
         f = retention_fraction(retention)
-        key = self._lut_key(temp_c, f)
-        exact = self._exact_cache.get(key)
-        if exact is None:
-            cells = self.unit.config.cells_per_row
-            d = (1 << getattr(self.unit.config, "bits_per_cell", 1)) - 1
-            s11 = np.arange(cells * d + 1)[:, None, None]
-            w_sum = np.arange(cells * d + 1)[None, :, None]
-            n_x1 = np.arange(cells + 1)[None, None, :]
-            reachable = ((s11 <= w_sum) & (s11 <= d * n_x1)
-                         & (w_sum - s11 <= d * (cells - n_x1)))
-            lut = self.decode_lut(temp_c, f).reshape(reachable.shape)
-            exact = bool(np.all((lut == s11) | ~reachable))
-            self._exact_cache[key] = exact
-        return exact
+        record = self._record(temp_c, f)
+        if not record.exact:
+            return None
+        with self._lock:
+            band = record.guard_bands.get(programmed)
+        if band is None:
+            band = self._certify(programmed, record.margin, f)
+            with self._lock:
+                band = record.guard_bands.setdefault(programmed, band)
+        return band
+
+    def _certify(self, programmed, margin, f):
+        """Build the :class:`GuardBand` of ``programmed`` against the
+        per-``W`` nominal ``margin`` at retention fraction ``f``."""
+        cells, n = programmed.cells, programmed.n
+        gain = self.unit.config.sensing.share_gain(cells)
+        # The same retention scaling the explicit decode applies.
+        dv = (programmed.w_dv if f is None else f * programmed.w_dv)
+        w_sum = programmed.w_counts.astype(np.intp)
+        rise = gain * np.maximum(dv, 0.0).sum(axis=2)
+        fall = gain * np.maximum(-dv, 0.0).sum(axis=2)
+        certified = (rise < margin[0][w_sum]) & (fall < margin[1][w_sum])
+
+        # Integers times powers of two: exact in any summation order.
+        pw = programmed.signs * 2.0 ** programmed.plane_bits
+        w_cert = np.tensordot(
+            pw, programmed.w_planes * certified[:, :, None, :],
+            axes=(0, 0)).reshape(programmed.chunks * cells, n)
+
+        # Uncertified entries in column order, grouped per column.
+        col, plane, chunk = np.nonzero(~certified.transpose(2, 0, 1))
+        starts = np.flatnonzero(np.diff(col, prepend=-1))
+        return GuardBand(
+            certified=certified, w_cert=w_cert, chunk=chunk,
+            digits=np.ascontiguousarray(
+                programmed.w_planes[plane, chunk, :, col]),
+            dv=np.ascontiguousarray(dv[plane, chunk, :, col]),
+            w_sum=programmed.w_counts[plane, chunk, col],
+            scale=(programmed.signs[plane].astype(np.int64)
+                   << programmed.plane_bits[plane]),
+            starts=starts, cols=col[starts])
 
     # -- fused plane stacks ----------------------------------------------
     @staticmethod
@@ -700,12 +915,16 @@ class FusedBitPlaneBackend(ArrayBackend):
         if not programmed.n_planes or m == 0:
             return result
 
-        stack = self._weight_stack(programmed)
         bits_x = programmed.bits_x
         active_x = self._active_x_bits(programmed, x_codes, active_bits)
         if not active_x.any():
             return result
+        band = self.guard_band(programmed, temp_c, f)
+        if band is not None:
+            return self._guarded_matmul(programmed, band, x_codes,
+                                        np.flatnonzero(active_x), temp_c, f)
 
+        stack = self._weight_stack(programmed)
         # Shift-add weights for the final plane reduction; inactive
         # activation bits are zeroed rather than branched over.
         xw = np.where(active_x, 2.0 ** np.arange(bits_x), 0.0)
@@ -732,6 +951,55 @@ class FusedBitPlaneBackend(ArrayBackend):
             # counts: (Bx, Mb, P, n) exact integers -> shift-add reduction.
             result[m0:m1] = np.tensordot(scale, counts, axes=([0, 1], [0, 2]))
         return result
+
+    def _guarded_matmul(self, programmed, band, x_codes, bits, temp_c, f):
+        """Matmul under a certified guard band: one GEMM plus an explicit
+        decode of the uncertified entries only.
+
+        A certified entry decodes ``S11`` for every activation bit, so the
+        active bits' shift-add over it is ``x @ w_cert``.  Every term, on
+        either side, is an integer times a power of two below ``2**53``,
+        so the sum is bit-identical to the dense backend in any order.
+        """
+        mask = int(np.sum(np.left_shift(1, bits)))
+        result = (x_codes & mask).astype(np.float64) @ band.w_cert
+        if band.n_uncertified:
+            result[:, band.cols] += self._decode_uncertified(
+                programmed, band, x_codes, bits, temp_c, f)
+        result += 0.0   # BLAS may emit -0.0; the dense loop sums into +0.0
+        return result
+
+    def _decode_uncertified(self, programmed, band, x_codes, bits, temp_c,
+                            f):
+        """Explicit decode of a guard band's uncertified entries.
+
+        Gathers each entry's chunk of activation bits and evaluates the
+        dense backend's float expressions on it — the nominal voltage
+        (:meth:`_nominal_vacc`), then the variation offset summed over the
+        cells in the dense ``einsum``'s order (:func:`_cell_offsets`) —
+        and returns the shift-added counts per column group,
+        ``(M, len(band.cols))`` int64.
+        """
+        cells, chunks = programmed.cells, programmed.chunks
+        gain = self.unit.config.sensing.share_gain(cells)
+        m, u = x_codes.shape[0], band.n_uncertified
+        shifts = bits[:, None, None, None]
+        out = np.empty((m, band.cols.size), dtype=np.int64)
+        block = max(1, int(self.block_budget_variation
+                           // (bits.size * u * cells)))
+        for m0 in range(0, m, block):
+            m1 = min(m0 + block, m)
+            xc = x_codes[m0:m1].reshape(m1 - m0, chunks, cells)[:, band.chunk]
+            xb = ((xc[None] >> shifts) & 1).astype(np.float64)
+            n11 = np.einsum("bmie,ie->bmi", xb, band.digits)
+            n_x1 = xb.sum(axis=3)
+            vacc = self._nominal_vacc(n11, band.w_sum, n_x1, temp_c, f)
+            vacc = vacc + gain * _cell_offsets(xb, band.dv, programmed.n)
+            counts = self.unit.sensor.decode(vacc)      # (B, Mb, u)
+            shifted = (counts << bits[:, None, None]).sum(axis=0)
+            out[m0:m1] = np.add.reduceat(shifted * band.scale, band.starts,
+                                         axis=1)
+        return out
 
     def _decode_nominal(self, programmed, stack, x32_block, n_x1_block,
                         temp_c, retention=None):
@@ -790,31 +1058,19 @@ class FusedBitPlaneBackend(ArrayBackend):
         Operation-for-operation the dense backend's expression, evaluated
         over the full plane-pair stack at once.
         """
-        unit = self.unit
-        von, z10, z01, z00 = unit.drifted_levels(temp_c, retention)
-        cells = programmed.cells
-        gain = unit.config.sensing.share_gain(cells)
-
+        gain = self.unit.config.sensing.share_gain(programmed.cells)
         n11 = self._pair_counts(programmed, x32_block,
                                 stack["w32"]).astype(np.float64)
         n_w1 = programmed.w_counts[None, None, :, :, :]     # (1,1,P,c,n)
         n_x1 = n_x1_block.astype(np.float64)[:, :, None, :, None]
-        if programmed.bits_per_cell > 1:
-            s_on, s_off = unit.drifted_digit_steps(temp_c, retention)
-            vacc = _digit_vacc(n11, n_w1, n_x1, cells, gain,
-                               z01, z00, s_on, s_off)
-        else:
-            n10 = n_w1 - n11
-            n01 = n_x1 - n11
-            n00 = cells - n_w1 - n_x1 + n11
-            vacc = gain * (n11 * von + n10 * z10 + n01 * z01 + n00 * z00)
+        vacc = self._nominal_vacc(n11, n_w1, n_x1, temp_c, retention)
         # Variation offsets shrink with the stored level they perturb —
         # same per-element scaling the dense backend applies.
         w_dv = (programmed.w_dv if retention is None
                 else retention * programmed.w_dv)
         vacc = vacc + gain * np.einsum(
             "xmce,pcen->xmpcn", x32_block.astype(np.float64), w_dv)
-        return unit.sensor.decode(vacc).sum(axis=3, dtype=np.int64)
+        return self.unit.sensor.decode(vacc).sum(axis=3, dtype=np.int64)
 
 
 #: Registry of selectable backends, keyed by CLI/config name.  This dict is

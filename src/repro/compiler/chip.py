@@ -35,7 +35,12 @@ the backend proves its decode is the identity at the read's temperature
 and retention (:meth:`~repro.array.backend.ArrayBackend.exact_decode`),
 the whole tile loop equals one integer product, and the chip serves the
 layer as one float64 GEMM — bit-identical, and metered exactly like the
-tile loop (``tests/compiler/test_exact_decode.py``).
+tile loop (``tests/compiler/test_exact_decode.py``).  Tiles with
+variation stay on the tile loop, where the backend may serve them
+through a certified guard band
+(:meth:`~repro.array.backend.ArrayBackend.guard_band`); the meter counts
+how many layer matmuls did and how many row ops were still decoded
+explicitly.
 
 Timing/energy model: weight planes, chunks, and tiles are spatially
 parallel (each row has its own ADC and accumulation capacitor);
@@ -178,14 +183,23 @@ class ChipMeter:
             #: the backend's analog decode (see :meth:`Chip.matmul_codes`).
             self.exact_layer_matmuls = 0
             self.analog_layer_matmuls = 0
+            #: The analog layer matmuls whose tiles all ran a certified
+            #: guard band, and the row ops still decoded explicitly.
+            self.certified_layer_matmuls = 0
+            self.explicit_row_ops = 0
             self.writes = 0
             self.write_energy_j = 0.0
             self.write_latency_s = 0.0
             self.reprograms = 0
 
     def record(self, tile_key, *, rows, active_bits, n_planes, chunks,
-               cols):
-        """Account one tile matmul of ``rows`` activation rows."""
+               cols, explicit_entries=0):
+        """Account one tile matmul of ``rows`` activation rows.
+
+        ``explicit_entries`` of the tile's ``n_planes * chunks * cols``
+        (plane, chunk, column) entries were decoded explicitly (variation
+        not covered by a guard band); it prices nothing.
+        """
         ops = rows * active_bits * n_planes * chunks * cols
         with self._lock:
             counters = self.tiles.setdefault(tile_key, TileCounters())
@@ -193,13 +207,16 @@ class ChipMeter:
             counters.matmuls += 1
             self.row_ops += ops
             self.matmuls += 1
+            self.explicit_row_ops += rows * active_bits * explicit_entries
 
-    def record_cycles(self, *, rows, active_bits, exact=False):
+    def record_cycles(self, *, rows, active_bits, exact=False,
+                      certified=False):
         """Account the serial schedule of one *layer* matmul (all tiles of
         a layer fire in parallel, so cycles accrue once per layer).
 
         ``exact`` says which simulator path computed it — the exact GEMM
-        or the analog decode; the modeled cycles are the same for both.
+        or the analog decode — and ``certified`` that every tile of an
+        analog one ran a guard band; the modeled cycles are the same.
         """
         with self._lock:
             self.bit_cycles += rows * active_bits
@@ -207,6 +224,7 @@ class ChipMeter:
                 self.exact_layer_matmuls += 1
             else:
                 self.analog_layer_matmuls += 1
+                self.certified_layer_matmuls += bool(certified)
 
     def record_write(self, *, erase_cells, program_pulses, serial_depth,
                      reprogram=False):
@@ -269,6 +287,8 @@ class ChipMeter:
                 "matmuls": self.matmuls,
                 "exact_layer_matmuls": self.exact_layer_matmuls,
                 "analog_layer_matmuls": self.analog_layer_matmuls,
+                "certified_layer_matmuls": self.certified_layer_matmuls,
+                "explicit_row_ops": self.explicit_row_ops,
                 "energy_j": self.row_ops * self.energy_per_row_op_j,
                 "latency_s": self.bit_cycles * self.mac_latency_s,
                 "energy_per_mac_j": self.energy_per_mac_j,
@@ -586,8 +606,9 @@ exact_decode`).  Then every chunk decodes its exact count ``n11``, the
         When the decode provably makes no errors (:meth:`_exact_weights`)
         the layer runs as one float64 GEMM instead, bit-identical to the
         tile loop.  The meter books the same row ops and cycles either
-        way; only ``exact_layer_matmuls`` / ``analog_layer_matmuls`` tell
-        the two paths apart.
+        way; only the decode-path counters (``exact_layer_matmuls``,
+        ``analog_layer_matmuls``, ``certified_layer_matmuls`` and
+        ``explicit_row_ops``) tell the paths apart.
         """
         x_codes = np.asarray(x_codes, dtype=np.int64)
         if x_codes.ndim != 2 or x_codes.shape[1] != plan.k:
@@ -610,8 +631,25 @@ exact_decode`).  Then every chunk decodes its exact count ``n11``, the
         # back to the literal undrifted code path.
         retention = None if self.drift is None else self.drift.retention()
         weights = self._exact_weights(plan, temp_c, retention)
+        # Per tile of an analog layer: the entries its matmul decodes
+        # explicitly — those a guard band leaves uncertified, every entry
+        # of a variation tile without one, none on a nominal tile.
+        explicit, certified = {}, weights is None
+        if weights is None:
+            for tile in plan.tiles:
+                key = (tile.layer_index, tile.row_block, tile.col_block)
+                programmed = self._programmed[key]
+                band = self.backend.guard_band(programmed, temp_c,
+                                               retention)
+                certified &= band is not None
+                explicit[key] = (
+                    band.n_uncertified if band is not None
+                    else 0 if programmed.w_dv is None
+                    else (programmed.n_planes * programmed.chunks
+                          * programmed.n))
         self.meter.record_cycles(rows=m, active_bits=n_active,
-                                 exact=weights is not None)
+                                 exact=weights is not None,
+                                 certified=certified)
         if weights is not None:
             out = x_codes.astype(np.float64) @ weights
             out += 0.0   # BLAS may emit -0.0; the tile loop sums into +0.0
@@ -630,7 +668,8 @@ exact_decode`).  Then every chunk decodes its exact count ``n11``, the
                 self.meter.record(
                     key, rows=m, active_bits=n_active,
                     n_planes=programmed.n_planes,
-                    chunks=programmed.chunks, cols=programmed.n)
+                    chunks=programmed.chunks, cols=programmed.n,
+                    explicit_entries=explicit.get(key, 0))
         return out
 
     @staticmethod

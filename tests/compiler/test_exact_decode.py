@@ -42,13 +42,6 @@ CASES = [(*key, temp, temp in exact)
          for key, exact in EXACT.items() for temp in TEMPS]
 
 
-@pytest.fixture(scope="module")
-def calibrations():
-    """One circuit calibration per design; every unit below restores it."""
-    return {name: BitSerialMacUnit(design).calibration()
-            for name, design in DESIGNS.items()}
-
-
 def restored_unit(calibrations, name, mapping):
     return BitSerialMacUnit(DESIGNS[name], BehavioralMacConfig(
         cells_per_row=mapping.cells_per_row, bits_x=mapping.bits,
@@ -93,9 +86,10 @@ def twin_chips(calibrations, name, retention=None, **mapping_kw):
 
 
 def metered(snapshot):
-    """The snapshot without the two path counters."""
+    """The snapshot without the decode-path counters."""
     return {k: v for k, v in snapshot.items()
-            if k not in ("exact_layer_matmuls", "analog_layer_matmuls")}
+            if k not in ("exact_layer_matmuls", "analog_layer_matmuls",
+                         "certified_layer_matmuls", "explicit_row_ops")}
 
 
 def assert_twins_agree(fused, dense, x, temp_c, exact):
@@ -127,11 +121,17 @@ class TestGate:
         unit = restored_unit(calibrations, "2T-1FeFET", MappingConfig())
         backend = FusedBitPlaneBackend(unit)
         assert backend.exact_decode(85.0, 0.8) is False
-        assert backend._exact_cache == {(85.0, 0.8): False}
-        assert set(backend._lut_cache) == {(85.0, 0.8)}
+        # One record per key holds the verdict beside the LUT.
+        assert backend._drifted.keys() == [(85.0, 0.8)]
+        assert backend._records == {}
+        record = backend._drifted.get((85.0, 0.8))
+        assert record.exact is False
+        assert backend.decode_lut(85.0, 0.8) is record.lut
+        assert backend._drifted.keys() == [(85.0, 0.8)]
         # A fresh clock (exactly 1.0) is the undrifted key.
         assert backend.exact_decode(27.0, 1.0) is True
-        assert backend._exact_cache[27.0] is True
+        assert list(backend._records) == [27.0]
+        assert backend._records[27.0].exact is True
 
 
 class TestDenseOracle:
