@@ -1,14 +1,14 @@
 """Pool-serving perf harness: sharded ChipPool vs a single session.
 
 Serves the same VGG-shaped request stream (reduced VGG, every Conv/Dense
-matmul lowered onto tiled subthreshold-FeFET arrays) three ways:
+matmul lowered onto tiled subthreshold-FeFET arrays) two ways:
 
 ``session``
-    One micro-batched ``InferenceSession`` over one chip — the
-    ``BENCH_infer.json`` strategy, the single-chip baseline.
-``single-replica pool``
-    ``ChipPool(n_replicas=1)`` in deterministic sync mode — must be
-    **bit-identical** to the session (the harness exits nonzero if not).
+    One micro-batched ``InferenceSession`` (a one-replica ``ChipPool``)
+    over one chip, in deterministic sync mode — the ``BENCH_infer.json``
+    strategy, the single-chip baseline.  Every result must be
+    **bit-identical** to its request's own ``chip.forward`` (the harness
+    exits nonzero if not).
 ``pool``
     The full fleet: N chip replicas (each its own per-tile variation
     draw), work-stealing scheduler, per-replica micro-batching.

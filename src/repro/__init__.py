@@ -21,9 +21,10 @@ Layer map (bottom-up):
   (:class:`~repro.compiler.mapping.MappingConfig`), emitting immutable
   :class:`~repro.compiler.program.CompiledProgram` objects that
   :class:`~repro.compiler.chip.Chip` programs and meters.
-* :mod:`repro.serve`    - batched serving surface:
-  :class:`~repro.serve.session.InferenceSession` micro-batching with
-  per-request temperature overrides and telemetry.
+* :mod:`repro.serve`    - batched serving: the work-stealing
+  :class:`~repro.serve.pool.ChipPool` over chip replicas, with
+  per-request temperature overrides and telemetry, and its one-replica
+  form :class:`~repro.serve.session.InferenceSession`.
 * :mod:`repro.analysis` - experiment implementations (one per paper
   figure/table) plus Monte-Carlo and Table-II machinery.
 * :mod:`repro.runtime`  - the unified experiment runtime: ``@experiment``

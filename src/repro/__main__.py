@@ -31,16 +31,16 @@ serve-bench [options]
 serve-pool-bench [options]
     Serve the same stream through a sharded ChipPool of ``--replicas``
     chips (the ``BENCH_pool.json`` harness), once per execution
-    substrate (``--workers threads|processes|both``): asserts the
-    single-replica pool is bit-identical to the session and the process
-    fleet bit-identical to the threaded fleet replica-by-replica,
-    reports wall-clock and modeled fleet throughput side by side per
-    substrate plus the compile / cold-bring-up / warm-artifact
-    breakdown, and exits nonzero if outputs diverge, the modeled fleet
-    speedup falls below ``--min-modeled-speedup``, warm artifact
-    bring-up misses ``--min-warm-speedup``, or the process fleet's wall
-    speedup misses ``--min-wall-speedup`` (gate auto-skipped with a
-    notice on single-core hosts).
+    substrate (``--workers threads|processes|both``): asserts every
+    single-session result is bit-identical to its per-request forward
+    and the process fleet bit-identical to the threaded fleet
+    replica-by-replica, reports wall-clock and modeled fleet throughput
+    side by side per substrate plus the compile / cold-bring-up /
+    warm-artifact breakdown, and exits nonzero if outputs diverge, the
+    modeled fleet speedup falls below ``--min-modeled-speedup``, warm
+    artifact bring-up misses ``--min-warm-speedup``, or the process
+    fleet's wall speedup misses ``--min-wall-speedup`` (gate
+    auto-skipped with a notice on single-core hosts).
 tune [options]
     Search the mapping/serving design space (tile geometry, row width,
     bits per cell, backend, replica count, temperature bins) against an

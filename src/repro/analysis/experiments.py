@@ -582,9 +582,9 @@ def table2_summary(*, quick=True, seed=0, backend="fused"):
     selects the array kernel (``fused``/``dense``; decoded outputs are
     bit-identical, fused is several times faster).
     """
+    from repro.compiler import Chip, MappingConfig, compile_model
     from repro.nn import (Adam, TrainConfig, build_vgg_nano, count_macs,
                           evaluate_accuracy, load_synthetic_cifar10, train)
-    from repro.nn.cim_executor import CimExecutionConfig, CimExecutor
 
     n_train, n_test, epochs = (2000, 200, 8) if quick else (4000, 500, 12)
     data = load_synthetic_cifar10(n_train=n_train, n_test=n_test,
@@ -595,15 +595,20 @@ def table2_summary(*, quick=True, seed=0, backend="fused"):
           TrainConfig(epochs=epochs, batch_size=64, seed=seed))
     float_acc = evaluate_accuracy(model, data.x_test, data.y_test)
 
-    def make_executor(bits_per_cell):
-        return CimExecutor(model, TwoTOneFeFETCell(), CimExecutionConfig(
-            temp_c=REFERENCE_TEMP_C, bits=8,
-            sigma_vth_fefet=54e-3, sigma_vth_mosfet=15e-3, seed=seed,
-            backend=backend, bits_per_cell=bits_per_cell))
+    design = TwoTOneFeFETCell()
 
-    executor = make_executor(1)
-    cim_acc = classification_accuracy(
-        executor.predict(data.x_test), data.y_test)
+    def make_chip(bits_per_cell):
+        # The spanning mapping (one unbounded tile per layer) is the
+        # single logical array of the paper's evaluation.
+        mapping = MappingConfig(
+            tile_rows=None, tile_cols=None, temp_c=REFERENCE_TEMP_C,
+            bits=8, sigma_vth_fefet=54e-3, sigma_vth_mosfet=15e-3,
+            seed=seed, backend=backend, bits_per_cell=bits_per_cell)
+        return Chip(compile_model(model, design, mapping), design)
+
+    chip = make_chip(1)
+    cim_acc = classification_accuracy(chip.predict(data.x_test),
+                                      data.y_test)
 
     fig8 = fig8_proposed_array()
     macs = count_macs(model, data.image_shape)
@@ -634,8 +639,8 @@ def table2_summary(*, quick=True, seed=0, backend="fused"):
     # Energy is *metered*: the chip counts physical row ops (so the
     # shorter digit-plane schedule of MLC encoding shows up as fewer
     # ops), each priced at bits_per_cell binary-row energies from the
-    # measured Fig. 8 report.  b = 1 reuses the baseline executor, so
-    # the baseline row is the baseline accuracy by construction.
+    # measured Fig. 8 report.  b = 1 reuses the baseline chip, so the
+    # baseline row is the baseline accuracy by construction.
     from repro.metrics.efficiency import (
         tops_per_watt as tops_per_watt_metric,
     )
@@ -643,14 +648,14 @@ def table2_summary(*, quick=True, seed=0, backend="fused"):
     energy_per_mac_j = fig8["avg_energy_fj"] * 1e-15
     mlc_rows = []
     for b in (1, 2, 3):
-        ex_b = executor if b == 1 else make_executor(b)
+        chip_b = chip if b == 1 else make_chip(b)
         if b == 1:
             acc_b = cim_acc
         else:
-            ex_b.chip.meter.reset()
+            chip_b.meter.reset()
             acc_b = classification_accuracy(
-                ex_b.predict(data.x_test), data.y_test)
-        row_ops = ex_b.chip.meter.row_ops
+                chip_b.predict(data.x_test), data.y_test)
+        row_ops = chip_b.meter.row_ops
         energy_nj = (row_ops * energy_per_mac_j * b / len(data.x_test)
                      * 1e9)
         mlc_rows.append({

@@ -1,8 +1,9 @@
 """Compile-and-serve front half: lower networks onto tiled CiM arrays.
 
-The monolithic ``CimExecutor`` fused three concerns — lowering a network
-onto the array model, owning the programmed weights, and running
-inference.  This package splits them along the hardware's own seams:
+Running a network on the CiM array involves three concerns — lowering
+the network onto the array model, owning the programmed weights, and
+running inference.  This package splits them along the hardware's own
+seams:
 
 * :func:`compile` (``repro.compiler.lowering.compile_model``) lowers
   Conv2D/Dense layers to matmuls, tiles each weight matrix onto
@@ -11,8 +12,9 @@ inference.  This package splits them along the hardware's own seams:
   quantization scales, content fingerprint);
 * :class:`Chip` writes a program onto the array backends — per-tile
   variation draws, per-tile energy/latency metering — and executes it;
-* :mod:`repro.serve` wraps a chip in a thread-safe, micro-batching
-  :class:`~repro.serve.InferenceSession`.
+* :mod:`repro.serve` serves chips through the micro-batching,
+  work-stealing :class:`~repro.serve.ChipPool` (an
+  :class:`~repro.serve.InferenceSession` is its one-replica form).
 
 Quick tour::
 

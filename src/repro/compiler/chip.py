@@ -466,7 +466,8 @@ decode_live_planes`) or restored from an artifact.  The bound chip
         One seeded RNG serves the whole chip, consumed layer by layer,
         row block outer, column block inner — for a spanning (single-tile)
         mapping this is exactly the legacy executor's per-layer draw
-        sequence, which is what keeps the compatibility shim bit-identical.
+        sequence, which keeps a spanning chip bit-identical to it with
+        variation enabled.
         """
         rng = np.random.default_rng(self.mapping.seed)
         self._programmed.clear()
@@ -754,7 +755,7 @@ exact_decode`).  Then every chunk decodes its exact count ``n11``, the
         *independent* dynamic activation quantization: the logits are
         bit-identical to calling :meth:`forward` once per segment, while
         the bit-serial matmuls run batched.  This is the micro-batching
-        primitive :class:`repro.serve.InferenceSession` builds on.
+        primitive the serving pool (:mod:`repro.serve`) builds on.
         """
         if segments is not None and sum(segments) != x.shape[0]:
             raise ValueError(

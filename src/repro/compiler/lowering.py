@@ -20,8 +20,7 @@ with finite arrays):
 The result is an immutable :class:`~repro.compiler.program.CompiledProgram`
 — pure data, no RNG consumed, nothing programmed.  Bind it to hardware
 with :class:`repro.compiler.chip.Chip` (which draws per-tile variation and
-meters energy/latency) or serve it through
-:class:`repro.serve.InferenceSession`.
+meters energy/latency) and serve it through :class:`repro.serve.ChipPool`.
 """
 
 from __future__ import annotations
@@ -45,8 +44,9 @@ from repro.nn.quantize import quantize_tensor
 def layer_matmul_weights(layer):
     """The layer's weights as the (K, N) matmul operand, or ``None``.
 
-    Shared by the compiler and the legacy-compatible executor shim so
-    Conv2D/Dense lowering can never diverge between them.
+    Shared by the compiler and :class:`~repro.compiler.chip.Chip` (whose
+    float path runs unmapped layers) so Conv2D/Dense lowering can never
+    diverge between them.
     """
     if isinstance(layer, Conv2D):
         return layer.params["w"].reshape(-1, layer.c_out)

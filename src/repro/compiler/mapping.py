@@ -2,12 +2,11 @@
 
 The paper evaluates VGG-8 by executing every Conv/Dense MAC on
 fixed-geometry subthreshold-FeFET arrays; :class:`MappingConfig` captures
-that geometry plus the quantization and variation knobs that were
-previously scattered across ``CimExecutionConfig``.  One immutable object
-describes a mapping end to end and produces a stable fingerprint, so a
-compiled program can participate in the runtime's content-addressed result
-cache (mapping knobs travel through ``RunContext.params`` into the cache
-key).
+that geometry plus the quantization and variation knobs.  One immutable
+object describes a mapping end to end and produces a stable fingerprint,
+so a compiled program can participate in the runtime's content-addressed
+result cache (mapping knobs travel through ``RunContext.params`` into the
+cache key).
 
 Geometry
 --------

@@ -14,10 +14,11 @@ package provides every piece needed to replicate that flow offline:
 * :mod:`repro.nn.quantize` — 8-bit uniform quantization (the paper's
   wordlength);
 * :mod:`repro.nn.dataset` — a synthetic CIFAR-10-like dataset (the sandbox
-  has no network access; see DESIGN.md for the substitution argument);
-* :mod:`repro.nn.cim_executor` — inference with every dot product lowered
-  onto the behavioral CiM array model, including temperature drift and
-  process variation.
+  has no network access; see DESIGN.md for the substitution argument).
+
+Inference with every dot product lowered onto the behavioral CiM array
+model, including temperature drift and process variation, is
+:func:`repro.compiler.compile` + :class:`repro.compiler.Chip`.
 """
 
 from repro.nn.layers import (

@@ -5,7 +5,8 @@ The back half of the compile-and-serve split (see :mod:`repro.compiler`):
 * :class:`InferenceSession` — thread-safe request micro-batching over one
   :class:`~repro.compiler.chip.Chip`, with per-request ``temp_c``
   overrides on the weight-stationary tiles and per-request
-  energy/latency/queueing telemetry;
+  energy/latency/queueing telemetry; it is a one-replica
+  :class:`ChipPool` behind the single-chip surface;
 * :class:`ChipPool` — the fleet: N chip replicas of one compiled program
   (each an independent per-tile variation draw, optionally binned by
   operating temperature), an async scheduler with work-stealing queues
@@ -44,7 +45,10 @@ Quick tour::
 """
 
 from repro.serve.batching import (
+    InferenceResult,
+    InferenceTicket,
     MicroBatchQueue,
+    RequestTelemetry,
     canonical_temp,
 )
 from repro.serve.bench import (
@@ -66,12 +70,7 @@ from repro.serve.registry import (
     ProgramRegistry,
     RegisteredProgram,
 )
-from repro.serve.session import (
-    InferenceResult,
-    InferenceSession,
-    InferenceTicket,
-    RequestTelemetry,
-)
+from repro.serve.session import InferenceSession
 
 __all__ = [
     "ChipPool",

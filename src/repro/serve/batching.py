@@ -1,11 +1,11 @@
-"""Request primitives and micro-batch formation shared by
-:class:`~repro.serve.session.InferenceSession` and
-:class:`~repro.serve.pool.ChipPool`.
+"""Request primitives and micro-batch formation for
+:class:`~repro.serve.pool.ChipPool` (and so for
+:class:`~repro.serve.session.InferenceSession`, a one-replica pool).
 
-The serving surfaces differ in *where* requests queue (one session queue
-vs one work-stealing queue per pool replica) but not in *what* a request
-is or *how* a micro-batch forms and executes, so that logic lives here
-exactly once:
+The pool owns *where* requests queue (one work-stealing queue per
+replica); *what* a request is and *how* a micro-batch forms and
+executes — in a scheduler thread or across a process boundary — lives
+here:
 
 * :class:`InferenceTicket` / :class:`InferenceResult` /
   :class:`RequestTelemetry` — the request handle, its resolved payload,

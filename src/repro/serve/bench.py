@@ -14,8 +14,9 @@ chip:
     Each request runs its own ``chip.forward`` — one tiled forward pass
     per request, the pre-serving behavior.
 ``batched``
-    An :class:`~repro.serve.InferenceSession` micro-batches the stream up
-    to ``max_batch_size`` images per chip pass.
+    An :class:`~repro.serve.InferenceSession` (a one-replica
+    :class:`~repro.serve.ChipPool`) micro-batches the stream up to
+    ``max_batch_size`` images per chip pass.
 
 :func:`pool_benchmark` then scales out: the same stream through a
 :class:`~repro.serve.ChipPool` of ``n_replicas`` chips, in one or both
@@ -32,10 +33,11 @@ time is the slowest replica's modeled busy latency instead of the
 single chip's serial total.
 
 Every strategy must produce bit-identical logits per request (asserted;
-for the pool this covers the single-replica pool always, the full
-fleet on nominal zero-sigma mappings where every replica's redraw is a
-no-op, and — replica by replica, any sigma — the process fleet against
-the threaded fleet), so the comparisons are apples-to-apples.
+for the pool this covers the single-replica session against per-request
+``chip.forward`` always, the full fleet on nominal zero-sigma mappings
+where every replica's redraw is a no-op, and — replica by replica, any
+sigma — the process fleet against the threaded fleet), so the
+comparisons are apples-to-apples.
 """
 
 from __future__ import annotations
@@ -239,10 +241,12 @@ def pool_benchmark(n_requests=64, images_per_request=1, *, design=None,
 
     Passes over one deterministic request stream:
 
-    1. a single :class:`InferenceSession` (the ``BENCH_infer`` strategy) —
-       the baseline logits and the single-chip modeled serving latency;
-    2. a **single-replica** :class:`ChipPool` in deterministic sync mode —
-       must be bit-identical to the session (the equivalence gate);
+    1. a single :class:`InferenceSession` (the ``BENCH_infer`` strategy,
+       a one-replica pool) in deterministic sync mode — the baseline
+       logits and the single-chip modeled serving latency;
+    2. the equivalence gate: every session result must be bit-identical
+       to its request's own ``chip.forward`` (micro-batching is
+       request-local);
     3. the full ``n_replicas`` fleet, once per requested substrate
        (``workers``: ``"threads"``, ``"processes"``, or ``"both"``) over
        the *same* replica chips — wall-clock plus the modeled fleet view
@@ -253,7 +257,7 @@ def pool_benchmark(n_requests=64, images_per_request=1, *, design=None,
 
     On a nominal (zero-sigma) mapping every replica programs identically,
     so each fleet pass is also asserted bit-identical to the session;
-    with variation enabled only the pass-2 equivalence gate applies and
+    with variation enabled only the step-2 equivalence gate applies and
     the fleet's logit divergence is reported instead.
 
     The document also carries a ``bringup`` breakdown — compilation vs
@@ -305,18 +309,11 @@ def pool_benchmark(n_requests=64, images_per_request=1, *, design=None,
     session_stats = session.stats()
     session_logits = [r.logits for r in session_results]
 
-    # 2) single-replica pool: the bit-identity gate (sync mode, so batch
-    # formation is deterministic too).
-    solo = ChipPool(program, design, n_replicas=1,
-                    max_batch_size=max_batch_size, autostart=False,
-                    chips=[chip])
-    tickets = [solo.submit(x, temp_c=temp_c) for x in requests]
-    while solo.step():
-        pass
+    # 2) the bit-identity gate: each served request equals its own
+    # forward pass on the chip.
     solo_identical = all(
-        np.array_equal(t.result(timeout=60.0).logits, session_logits[i])
-        for i, t in enumerate(tickets))
-    solo.close()
+        np.array_equal(logits, chip.forward(x, temp_c=temp_c))
+        for logits, x in zip(session_logits, requests))
 
     # 3) the fleet — replica bring-up is part of the story, paid once
     # and shared by every substrate pass (same chips, same draws).
@@ -417,16 +414,17 @@ def report_pool_benchmark(doc, *, min_modeled_speedup=None,
     speedup below 1.0x draws a loud warning rather than hiding behind
     the modeled figure.
 
-    Returns a process exit code — 1 if the single-replica pool diverged
-    from the session, if a nominal fleet diverged, if the process fleet's
-    probe logits diverged from the threaded fleet's, if the modeled
-    fleet throughput speedup fell below ``min_modeled_speedup``, if the
-    warm-artifact bring-up speedup fell below ``min_warm_speedup`` (or
-    the restored chip's logits diverged), or if the **process** fleet's
-    wall speedup fell below ``min_wall_speedup`` — that last gate only
-    applies on a multi-core host (``host_cpu_count >= 2``); a single
-    core cannot overlap worker processes, so the gate is skipped with a
-    visible notice instead of failing on hardware that cannot pass.
+    Returns a process exit code — 1 if a single-replica session result
+    diverged from its per-request ``chip.forward``, if a nominal fleet
+    diverged, if the process fleet's probe logits diverged from the
+    threaded fleet's, if the modeled fleet throughput speedup fell below
+    ``min_modeled_speedup``, if the warm-artifact bring-up speedup fell
+    below ``min_warm_speedup`` (or the restored chip's logits diverged),
+    or if the **process** fleet's wall speedup fell below
+    ``min_wall_speedup`` — that last gate only applies on a multi-core
+    host (``host_cpu_count >= 2``); a single core cannot overlap worker
+    processes, so the gate is skipped with a visible notice instead of
+    failing on hardware that cannot pass.
     """
     w = doc["workload"]
     print(f"workload: {w['n_requests']} requests x "
@@ -486,8 +484,8 @@ def report_pool_benchmark(doc, *, min_modeled_speedup=None,
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
     if not doc["single_replica_bit_identical"]:
-        print("ERROR: single-replica pool diverged from InferenceSession",
-              file=sys.stderr)
+        print("ERROR: single-replica session diverged from per-request "
+              "chip.forward", file=sys.stderr)
         return 1
     if doc["fleet_bit_identical_nominal"] is False:
         print("ERROR: nominal fleet diverged from the session logits",

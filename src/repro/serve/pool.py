@@ -2,9 +2,10 @@
 
 One :class:`~repro.compiler.program.CompiledProgram`, ``N`` physical
 :class:`~repro.compiler.chip.Chip` replicas, one request surface.  This
-is the fleet-scale half of the compile-and-serve split: a single session
-drives one chip from one executor; a pool shards a request stream across
-replicas the way a deployed CiM service would across dies.
+is the serving half of the compile-and-serve split: a pool shards a
+request stream across replicas the way a deployed CiM service would
+across dies, and :class:`~repro.serve.session.InferenceSession` is the
+same pool with one replica.
 
 * **Replicas are variation draws.**  Each replica reprograms its tiles
   with an independent per-tile process-variation draw
@@ -38,14 +39,14 @@ replicas the way a deployed CiM service would across dies.
   :mod:`repro.metrics.efficiency` at the mapping's actual row width.
 
 Bit-exactness: batching is request-local on every chip (see
-:func:`~repro.serve.batching.execute_micro_batch`) and replica 0 is
-bit-identical to ``Chip(program, design)``, so a single-replica pool
-serves exactly the logits of an :class:`InferenceSession` over the same
-program — enforced by ``tests/serve/test_pool.py``.
+:func:`~repro.serve.batching.execute_micro_batch`), so every request
+gets exactly the logits of its own ``chip.forward`` on the replica that
+served it, and replica 0 is bit-identical to ``Chip(program, design)``
+— enforced against per-request forwards by ``tests/serve/test_pool.py``.
 
-Threading model mirrors the session: any number of producers call
-:meth:`submit` / :meth:`infer`; exactly one worker executes each chip
-(meters and decode caches never see concurrent execution on one die).
+Threading model: any number of producers call :meth:`submit` /
+:meth:`infer`; exactly one worker executes each chip (meters and decode
+caches never see concurrent execution on one die).
 ``autostart=False`` runs without threads — :meth:`step` pumps one
 micro-batch, round-robin over replica queues, for deterministic tests
 and benchmarks.
@@ -699,29 +700,23 @@ class ChipPool:
             survivors = [w for w in self.workers
                          if w is not worker and w.live
                          and w.group == worker.group]
+            stranded = list(batch)
+            while worker.queue:
+                stranded.extend(worker.queue.take_batch())
             if not survivors:
-                stranded = list(batch)
-                while worker.queue:
-                    stranded.extend(worker.queue.take_batch())
                 for pending in stranded:
                     pending.ticket._resolve(error=shm.WorkerCrash(
                         f"replica {worker.index} died with no live "
                         f"replica left to serve its queue: {crash}"))
-            elif self._threaded:
-                stranded = list(batch)
-                while worker.queue:
-                    stranded.extend(worker.queue.take_batch())
-                for pending in stranded:
-                    pending.pinned = False   # the pinned target is gone
-                worker.queue.requeue(stranded)
             else:
-                stranded = list(batch)
-                while worker.queue:
-                    stranded.extend(worker.queue.take_batch())
                 for pending in stranded:
                     pending.pinned = False   # the pinned target is gone
-                    self._pick_worker(pending.temp_c,
-                                      worker.group).queue.push(pending)
+                if self._threaded:
+                    worker.queue.requeue(stranded)
+                else:
+                    for pending in stranded:
+                        self._pick_worker(pending.temp_c,
+                                          worker.group).queue.push(pending)
             self._cond.notify_all()
 
     def _serve_loop(self, worker):

@@ -1,54 +1,33 @@
-"""``InferenceSession`` — the serving surface over a programmed chip.
+"""``InferenceSession`` — the serving surface over one programmed chip.
 
-The compile-once / serve-many split ends here: a session owns one
-:class:`~repro.compiler.chip.Chip` and turns it into a thread-safe
-request-oriented service.
+A session is a one-replica :class:`~repro.serve.pool.ChipPool`: the
+pool's queue, linger loop, :meth:`step` pump, close and totals serve the
+chip, and the session keeps the single-chip request surface.
 
-* **Micro-batching.**  Requests enqueue; a worker thread drains them in
+* **Micro-batching.**  Requests enqueue; the worker drains them in
   micro-batches of up to ``max_batch_size`` images, concatenating the
-  image tensors so one tiled forward pass serves many requests — the
-  whole point of batched serving on this workload, where the bit-serial
-  kernels amortize their per-call plane/LUT work across activation rows.
-* **Per-request temperature.**  A request may override ``temp_c``; the
-  batcher groups only requests at the same operating temperature
-  (programmed tiles are weight-stationary — levels drift with the
-  override, the stored weights do not).  Temperatures are normalized to
-  canonical builtin floats at submit time so mixed numeric dtypes can
-  never split a batch (see :func:`repro.serve.batching.canonical_temp`).
-* **Telemetry.**  Every result carries a :class:`RequestTelemetry`
-  (queueing delay, batch wall time, its share of the chip meter's modeled
-  array energy/latency, the micro-batch it rode in); the session
-  aggregates totals via :meth:`InferenceSession.stats`.
+  image tensors so one tiled forward pass serves many requests.
+  Activation quantization stays request-local, so a batched request
+  returns exactly the logits of its own ``chip.forward``.
+* **Per-request temperature.**  A request may override ``temp_c``; only
+  requests at the same (canonicalized) operating temperature share a
+  batch — programmed tiles are weight-stationary, levels drift with the
+  override, the stored weights do not.
+* **Telemetry.**  Every result carries a
+  :class:`~repro.serve.batching.RequestTelemetry`; :meth:`stats`
+  aggregates the session totals.
 
 Threading model: any number of producer threads call :meth:`submit` /
-:meth:`infer`; exactly one worker thread executes the chip, so chip state
-(decode caches, meter) sees no concurrent execution.  ``autostart=False``
-switches to a synchronous mode where the caller pumps micro-batches with
-:meth:`step` — used by the benchmarks for deterministic batch shapes.
-
-Request/batch primitives (:class:`InferenceTicket`,
-:class:`RequestTelemetry`, the coalescing queue, batch execution) are
-shared with the multi-replica :class:`~repro.serve.pool.ChipPool` via
-:mod:`repro.serve.batching`; this module re-exports the request-facing
-names so existing imports keep working.
+:meth:`infer`; exactly one worker thread executes the chip.
+``autostart=False`` runs without a thread — the caller pumps
+micro-batches with :meth:`step` (deterministic batch shapes for
+benchmarks and tests).
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
-import numpy as np
-
-from repro.serve.batching import (  # noqa: F401  (re-exported API)
-    InferenceResult,
-    InferenceTicket,
-    MicroBatchQueue,
-    PendingRequest,
-    RequestTelemetry,
-    canonical_temp,
-    execute_micro_batch,
-)
+from repro.serve.batching import InferenceResult, InferenceTicket
+from repro.serve.pool import ChipPool
 
 
 class InferenceSession:
@@ -56,25 +35,10 @@ class InferenceSession:
 
     def __init__(self, chip, *, max_batch_size=64, linger_s=0.002,
                  autostart=True):
-        if linger_s < 0:
-            raise ValueError("linger_s must be non-negative")
         self.chip = chip
-        self.max_batch_size = int(max_batch_size)
-        self.linger_s = float(linger_s)
-        self._cond = threading.Condition()
-        self._queue = MicroBatchQueue(max_batch_size)
-        self._closed = False
-        self._next_id = 0
-        self._totals = {
-            "requests": 0, "images": 0, "batches": 0, "batch_images": 0,
-            "queue_s": 0.0, "busy_s": 0.0, "energy_j": 0.0,
-            "latency_s": 0.0,
-        }
-        self._worker = None
-        if autostart:
-            self._worker = threading.Thread(
-                target=self._serve_loop, name="repro-serve", daemon=True)
-            self._worker.start()
+        self._pool = ChipPool(chip.program, chip.design, chips=[chip],
+                              max_batch_size=max_batch_size,
+                              linger_s=linger_s, autostart=autostart)
 
     @classmethod
     def from_artifact(cls, store, fingerprint, *, design=None,
@@ -87,9 +51,6 @@ class InferenceSession:
                                check_code_version=check_code_version)
         return cls(chip, **kwargs)
 
-    # ------------------------------------------------------------------
-    # request surface
-    # ------------------------------------------------------------------
     def submit(self, x, temp_c=None) -> InferenceTicket:
         """Enqueue a request; returns a ticket resolving to its result.
 
@@ -97,109 +58,21 @@ class InferenceSession:
         (N, F); ``temp_c`` overrides the mapping's operating temperature
         for this request only.
         """
-        x = np.asarray(x)
-        if x.shape[0] < 1:
-            raise ValueError("a request needs at least one image")
-        temp = canonical_temp(self.chip.mapping.temp_c if temp_c is None
-                              else temp_c)
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("session is closed")
-            ticket = InferenceTicket(self._next_id)
-            self._next_id += 1
-            self._queue.push(
-                PendingRequest(x, temp, ticket, time.perf_counter()))
-            self._cond.notify_all()
-        return ticket
+        return self._pool.submit(x, temp_c=temp_c)
 
     def infer(self, x, temp_c=None) -> InferenceResult:
-        """Synchronous request: submit and wait for the result.
-
-        In ``autostart=False`` mode the caller's thread pumps the queue
-        itself, so ``infer`` stays usable without a worker.
-        """
-        ticket = self.submit(x, temp_c=temp_c)
-        if self._worker is None:
-            while not ticket.done():
-                if not self.step():
-                    break
-        return ticket.result()
-
-    # ------------------------------------------------------------------
-    # batch formation + execution
-    # ------------------------------------------------------------------
-    def _execute(self, batch):
-        """Run one micro-batch on the chip and fold it into the totals.
-
-        Totals commit *before* tickets resolve (see
-        :func:`~repro.serve.batching.execute_micro_batch`), so a waiter
-        woken by its result always finds its batch in :meth:`stats`.
-        """
-
-        def commit(report):
-            if report.failed:
-                return
-            with self._cond:
-                self._totals["requests"] += report.requests
-                self._totals["images"] += report.images
-                self._totals["queue_s"] += report.queue_s
-                self._totals["energy_j"] += report.energy_j
-                self._totals["latency_s"] += report.latency_s
-                self._totals["batches"] += 1
-                self._totals["batch_images"] += report.images
-                self._totals["busy_s"] += report.wall_s
-
-        execute_micro_batch(self.chip, batch, commit=commit)
+        """Submit and wait; with ``autostart=False`` the caller's thread
+        pumps the queue itself."""
+        return self._pool.infer(x, temp_c=temp_c)
 
     def step(self):
-        """Synchronously serve one micro-batch; returns the number of
-        requests served (0 when the queue is empty).  The manual pump for
-        ``autostart=False`` sessions."""
-        with self._cond:
-            batch = self._queue.take_batch()
-        if not batch:
-            return 0
-        self._execute(batch)
-        return len(batch)
+        """Serve one micro-batch synchronously; returns the number of
+        requests served (0 when the queue is empty)."""
+        return self._pool.step()
 
-    def _serve_loop(self):
-        while True:
-            with self._cond:
-                while not self._queue and not self._closed:
-                    self._cond.wait()
-                if self._closed and not self._queue:
-                    return
-            # Linger briefly so a burst of submitters lands in one batch.
-            if self.linger_s:
-                deadline = time.perf_counter() + self.linger_s
-                with self._cond:
-                    while (time.perf_counter() < deadline
-                           and not self._closed
-                           and self._queue.images_queued()
-                           < self.max_batch_size):
-                        remaining = deadline - time.perf_counter()
-                        if remaining > 0:
-                            self._cond.wait(timeout=remaining)
-            with self._cond:
-                batch = self._queue.take_batch()
-            if batch:
-                self._execute(batch)
-
-    # ------------------------------------------------------------------
-    # lifecycle + aggregate telemetry
-    # ------------------------------------------------------------------
     def close(self):
-        """Stop accepting requests; the worker drains the queue first."""
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            self._cond.notify_all()
-        if self._worker is not None:
-            self._worker.join()
-        else:
-            while self.step():
-                pass
+        """Stop accepting requests; every queued request is still served."""
+        self._pool.close()
 
     def __enter__(self):
         return self
@@ -210,25 +83,16 @@ class InferenceSession:
 
     def stats(self):
         """Aggregate session telemetry (JSON-safe)."""
-        with self._cond:
-            totals = dict(self._totals)
-        batches = max(totals["batches"], 1)
-        busy = totals["busy_s"]
+        stats = self._pool.stats()
+        totals = stats.totals
         return {
             "requests": totals["requests"],
             "images": totals["images"],
             "batches": totals["batches"],
-            "mean_batch_images": totals["batch_images"] / batches,
-            "mean_queue_s": (totals["queue_s"]
-                             / max(totals["requests"], 1)),
-            "busy_s": busy,
-            "throughput_img_per_s": (totals["images"] / busy
-                                     if busy > 0 else 0.0),
-            "modeled_energy_j": totals["energy_j"],
-            "modeled_latency_s": totals["latency_s"],
+            "mean_batch_images": stats.replicas[0]["mean_batch_images"],
+            "mean_queue_s": totals["mean_queue_s"],
+            "busy_s": totals["busy_s"],
+            "throughput_img_per_s": totals["throughput_img_per_s"],
+            "modeled_energy_j": stats.modeled["energy_j"],
+            "modeled_latency_s": stats.modeled["serial_latency_s"],
         }
-
-    def __repr__(self):
-        return (f"InferenceSession({self.chip!r}, "
-                f"max_batch_size={self.max_batch_size}, "
-                f"closed={self._closed})")

@@ -1,8 +1,9 @@
 """Shared fixtures for the compiler suites.
 
 Circuit calibration is the expensive part of bringing up a chip, so the
-suites that compare a fused chip against its dense twin restore one
-calibration per design from here instead of calibrating per module.
+suites that compare a fused chip against its dense twin restore the
+session-wide ``calibrations`` (``tests/conftest.py``) instead of
+calibrating per module.
 """
 
 import pytest
@@ -22,13 +23,6 @@ class FrozenClock:
 
     def retention(self):
         return self.value
-
-
-@pytest.fixture(scope="session")
-def calibrations():
-    """One circuit calibration per design; every unit restores it."""
-    return {name: BitSerialMacUnit(design).calibration()
-            for name, design in DESIGNS.items()}
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,10 @@ or pollute it, so every test gets a private cache via ``REPRO_CACHE_DIR``.
 ``legacy_cim`` loads the frozen pre-redesign ``CimExecutor`` copy kept in
 ``tests/nn/_legacy_executor.py`` — the reference semantics the
 compile-and-serve equivalence suites compare against.
+
+``calibrations`` holds one circuit calibration per cell design: circuit
+calibration is the expensive part of bringing up a chip, and a unit that
+restores one computes exactly what the calibrated unit computes.
 """
 
 import importlib.util
@@ -34,3 +38,14 @@ def legacy_cim():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def calibrations():
+    """One circuit calibration per design; every unit restores it."""
+    from repro.array import BitSerialMacUnit
+    from repro.cells import FeFET1RCell, TwoTOneFeFETCell
+
+    designs = {"2T-1FeFET": TwoTOneFeFETCell(), "FeFET-1R": FeFET1RCell()}
+    return {name: BitSerialMacUnit(design).calibration()
+            for name, design in designs.items()}

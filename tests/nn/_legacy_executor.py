@@ -2,9 +2,9 @@
 
 This is the *reference semantics* the compile-and-serve redesign promises
 to preserve: the equivalence suite asserts that the new
-``repro.compiler``/``repro.serve`` stack — and the thin ``CimExecutor``
-shim built on it — produce bit-identical outputs to this implementation.
-Do not modernize this file; its value is that it does not change.
+``repro.compiler``/``repro.serve`` stack produces bit-identical outputs
+to this implementation.  Do not modernize this file; its value is that
+it does not change.
 """
 
 from __future__ import annotations

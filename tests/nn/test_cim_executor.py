@@ -1,12 +1,14 @@
-"""Tests for the CiM-lowered NN executor."""
+"""NN inference lowered onto the CiM array: ``compile_model`` + ``Chip``
+on the spanning mapping (one unbounded tile per layer)."""
 
 import numpy as np
 import pytest
 
+from repro.array import BehavioralMacConfig, BitSerialMacUnit
 from repro.cells import TwoTOneFeFETCell
+from repro.compiler import Chip, MappingConfig, compile_model
 from repro.metrics import classification_accuracy
 from repro.nn import Dense, ReLU, Sequential, build_vgg_nano
-from repro.nn.cim_executor import CimExecutionConfig, CimExecutor
 from repro.nn.layers import Conv2D
 
 
@@ -21,139 +23,133 @@ def tiny_model():
     return Sequential([Dense(6, 8, rng=rng), ReLU(), Dense(8, 3, rng=rng)])
 
 
+@pytest.fixture(scope="module")
+def spanning_chip(design, calibrations):
+    """Factory: ``spanning_chip(model, **mapping)`` -> a chip programmed
+    with ``model`` on the spanning mapping, over a unit that restores the
+    shared circuit calibration."""
+
+    def build(model, **mapping_kw):
+        mapping = MappingConfig(tile_rows=None, tile_cols=None,
+                                **mapping_kw)
+        unit = BitSerialMacUnit(design, BehavioralMacConfig(
+            bits_x=mapping.bits, bits_w=mapping.bits,
+            sigma_vth_fefet=mapping.sigma_vth_fefet,
+            sigma_vth_mosfet=mapping.sigma_vth_mosfet,
+            seed=mapping.seed, backend=mapping.backend),
+            calibration=calibrations["2T-1FeFET"])
+        return Chip(compile_model(model, design, mapping), design,
+                    unit=unit)
+
+    return build
+
+
 class TestLoweringFidelity:
-    def test_dense_matches_float_at_reference(self, design, tiny_model):
+    def test_dense_matches_float_at_reference(self, spanning_chip,
+                                              tiny_model):
         """8-bit CiM inference at 27 degC tracks the float forward pass to
         quantization accuracy."""
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 6))
         float_out = tiny_model.forward(x)
-        executor = CimExecutor(tiny_model, design,
-                               CimExecutionConfig(temp_c=27.0, bits=8))
-        cim_out = executor.forward(x)
+        cim_out = spanning_chip(tiny_model, temp_c=27.0, bits=8).forward(x)
         scale = np.max(np.abs(float_out))
         assert np.max(np.abs(cim_out - float_out)) < 0.08 * scale
 
-    def test_conv_model_runs(self, design):
+    def test_conv_model_runs(self, spanning_chip):
         rng = np.random.default_rng(2)
         model = Sequential([Conv2D(1, 2, rng=rng), ReLU()])
         x = rng.normal(size=(1, 5, 5, 1))
-        executor = CimExecutor(model, design,
-                               CimExecutionConfig(temp_c=27.0, bits=6))
-        out = executor.forward(x)
+        out = spanning_chip(model, temp_c=27.0, bits=6).forward(x)
         assert out.shape == model.forward(x).shape
 
-    def test_predictions_preserved_at_reference(self, design):
+    def test_predictions_preserved_at_reference(self, spanning_chip):
         """Argmax predictions survive the lowering on a small test batch."""
         rng = np.random.default_rng(3)
         model = build_vgg_nano(width=4, image_size=8,
                                rng=np.random.default_rng(5))
         x = rng.normal(size=(6, 8, 8, 3))
         float_pred = np.argmax(model.predict(x), axis=1)
-        executor = CimExecutor(model, design,
-                               CimExecutionConfig(temp_c=27.0, bits=8))
-        cim_pred = np.argmax(executor.predict(x), axis=1)
+        chip = spanning_chip(model, temp_c=27.0, bits=8)
+        cim_pred = np.argmax(chip.predict(x), axis=1)
         assert classification_accuracy(cim_pred, float_pred) >= 0.8
 
-    def test_min_macs_threshold_bypasses_array(self, design, tiny_model):
+    def test_min_macs_threshold_bypasses_array(self, spanning_chip,
+                                               tiny_model):
         """Layers below the threshold run in exact float arithmetic."""
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 6))
-        executor = CimExecutor(tiny_model, design, CimExecutionConfig(
-            temp_c=27.0, bits=8, min_macs_for_cim=10**9))
-        assert np.allclose(executor.forward(x), tiny_model.forward(x))
+        chip = spanning_chip(tiny_model, temp_c=27.0, bits=8,
+                             min_macs_for_cim=10**9)
+        assert np.allclose(chip.forward(x), tiny_model.forward(x))
 
 
 class TestBackends:
-    def test_dense_and_fused_executors_bit_identical(self, design, tiny_model):
-        """Backend choice is a perf knob, never a results knob."""
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(3, 6))
-        for sigma in (0.0, 54e-3):
-            outs = [
-                CimExecutor(tiny_model, design, CimExecutionConfig(
-                    temp_c=85.0, bits=8, sigma_vth_fefet=sigma,
-                    seed=4, backend=backend)).forward(x)
-                for backend in ("dense", "fused")
-            ]
-            assert np.array_equal(outs[0], outs[1])
-
-    def test_temp_override_reuses_programmed_weights(self, design, tiny_model):
-        """One executor sweeps temperatures on its programmed arrays."""
+    def test_temp_override_reuses_programmed_weights(self, spanning_chip,
+                                                     tiny_model):
+        """One chip sweeps temperatures on its programmed arrays."""
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 6))
-        executor = CimExecutor(tiny_model, design,
-                               CimExecutionConfig(temp_c=27.0, bits=8))
-        hot_cfg = CimExecutor(tiny_model, design,
-                              CimExecutionConfig(temp_c=85.0, bits=8))
-        assert np.array_equal(executor.forward(x, temp_c=85.0),
-                              hot_cfg.forward(x))
-        assert np.array_equal(executor.predict(x, temp_c=85.0),
-                              hot_cfg.predict(x))
+        chip = spanning_chip(tiny_model, temp_c=27.0, bits=8)
+        hot = spanning_chip(tiny_model, temp_c=85.0, bits=8)
+        assert np.array_equal(chip.forward(x, temp_c=85.0), hot.forward(x))
+        assert np.array_equal(chip.predict(x, temp_c=85.0), hot.predict(x))
 
-    def test_redraw_variation_changes_outputs(self, design, tiny_model):
+    def test_redraw_variation_changes_outputs(self, spanning_chip,
+                                              tiny_model):
         """MC-shard primitive: same weights, fresh die, new error pattern."""
         rng = np.random.default_rng(12)
         x = rng.normal(size=(3, 6))
-        executor = CimExecutor(tiny_model, design, CimExecutionConfig(
-            temp_c=27.0, bits=8, sigma_vth_fefet=54e-3,
-            sigma_vth_mosfet=15e-3, seed=13))
-        first = executor.forward(x)
-        executor.redraw_variation(seed=99)
-        second = executor.forward(x)
-        assert not np.allclose(first, second)
+        chip = spanning_chip(tiny_model, temp_c=27.0, bits=8,
+                             sigma_vth_fefet=54e-3, sigma_vth_mosfet=15e-3,
+                             seed=13)
+        first = chip.forward(x)
+        chip.redraw_variation(seed=99)
+        assert not np.allclose(first, chip.forward(x))
 
-    def test_reprogram_tracks_weight_updates(self, design, tiny_model):
-        """The array is nonvolatile: weight edits need an explicit rewrite."""
+    def test_reprogram_tracks_weight_updates(self, spanning_chip,
+                                             tiny_model):
+        """The array is nonvolatile: a weight edit reaches the array only
+        through a recompile and a freshly programmed chip."""
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 6))
-        executor = CimExecutor(tiny_model, design,
-                               CimExecutionConfig(temp_c=27.0, bits=8))
-        before = executor.forward(x)
+        chip = spanning_chip(tiny_model, temp_c=27.0, bits=8)
+        before = chip.forward(x)
         layer = tiny_model.layers[0]
         original = layer.params["w"].copy()
         try:
             layer.params["w"] = original * 0.5
-            assert np.array_equal(executor.forward(x), before)  # stale
-            executor.reprogram()
-            assert not np.array_equal(executor.forward(x), before)
+            assert np.array_equal(chip.forward(x), before)   # stale
+            rewritten = spanning_chip(tiny_model, temp_c=27.0, bits=8)
+            assert not np.array_equal(rewritten.forward(x), before)
         finally:
             layer.params["w"] = original
-            executor.reprogram()
-
-    def test_rejects_unknown_backend(self, design, tiny_model):
-        with pytest.raises(ValueError, match="unknown array backend"):
-            CimExecutor(tiny_model, design,
-                        CimExecutionConfig(backend="systolic"))
 
 
 class TestNoiseInjection:
-    def test_variation_changes_outputs(self, design, tiny_model):
+    def test_variation_changes_outputs(self, spanning_chip, tiny_model):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 6))
-        clean = CimExecutor(tiny_model, design, CimExecutionConfig(
-            temp_c=27.0, bits=8)).forward(x)
-        noisy = CimExecutor(tiny_model, design, CimExecutionConfig(
-            temp_c=27.0, bits=8, sigma_vth_fefet=54e-3,
-            sigma_vth_mosfet=15e-3, seed=7)).forward(x)
+        clean = spanning_chip(tiny_model, temp_c=27.0, bits=8).forward(x)
+        noisy = spanning_chip(tiny_model, temp_c=27.0, bits=8,
+                              sigma_vth_fefet=54e-3, sigma_vth_mosfet=15e-3,
+                              seed=7).forward(x)
         assert not np.allclose(clean, noisy)
 
-    def test_seeded_noise_reproducible(self, design, tiny_model):
+    def test_seeded_noise_reproducible(self, spanning_chip, tiny_model):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 6))
-        cfg = CimExecutionConfig(temp_c=27.0, bits=8,
-                                 sigma_vth_fefet=54e-3, seed=9)
-        a = CimExecutor(tiny_model, design, cfg).forward(x)
-        b = CimExecutor(tiny_model, design, cfg).forward(x)
+        kwargs = dict(temp_c=27.0, bits=8, sigma_vth_fefet=54e-3, seed=9)
+        a = spanning_chip(tiny_model, **kwargs).forward(x)
+        b = spanning_chip(tiny_model, **kwargs).forward(x)
         assert np.allclose(a, b)
 
-    def test_temperature_resilience_of_proposed(self, design, tiny_model):
+    def test_temperature_resilience_of_proposed(self, spanning_chip,
+                                                tiny_model):
         """Outputs at 85 degC match 27 degC for the proposed cell."""
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 6))
-        cold = CimExecutor(tiny_model, design, CimExecutionConfig(
-            temp_c=27.0, bits=8)).forward(x)
-        hot = CimExecutor(tiny_model, design, CimExecutionConfig(
-            temp_c=85.0, bits=8)).forward(x)
+        cold = spanning_chip(tiny_model, temp_c=27.0, bits=8).forward(x)
+        hot = spanning_chip(tiny_model, temp_c=85.0, bits=8).forward(x)
         scale = np.max(np.abs(cold))
         assert np.max(np.abs(hot - cold)) < 0.05 * scale

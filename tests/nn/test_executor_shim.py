@@ -1,12 +1,13 @@
-"""Equivalence: the CimExecutor shim (and the compiled stack under it) is
-bit-identical to the pre-redesign executor on the VGG-shaped workload.
+"""Equivalence: the compiled stack is bit-identical to the pre-redesign
+executor on the VGG-shaped workload.
 
-This is the redesign's acceptance gate: ``CimExecutor`` is now a thin
-shim over ``compile()`` + ``Chip`` with a spanning (single-tile-per-layer)
-mapping, and nothing about its numerics may drift from the frozen legacy
-implementation in ``tests/nn/_legacy_executor.py`` — nominal and with the
-paper's process variation, across temperature overrides, batched
-prediction, and Monte-Carlo redraws.
+This is the redesign's acceptance gate: ``compile()`` + ``Chip`` with a
+spanning (single-tile-per-layer) mapping replaces the monolithic
+executor, and nothing about its numerics may drift from the frozen
+legacy implementation in ``tests/nn/_legacy_executor.py`` — nominal and
+with the paper's process variation, across temperature overrides,
+batched prediction, and Monte-Carlo redraws.  Finite tiles and the
+serving session must reproduce it too.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ import pytest
 from repro.cells import TwoTOneFeFETCell
 from repro.compiler import Chip, MappingConfig, compile_model
 from repro.nn import build_vgg_nano
-from repro.nn.cim_executor import CimExecutionConfig, CimExecutor
 from repro.serve import InferenceSession
 
 
@@ -41,29 +41,38 @@ def legacy_nominal(legacy_cim, vgg, design):
         vgg, design, legacy_cim.CimExecutionConfig(temp_c=27.0, bits=8))
 
 
+def spanning_chip(model, design, **mapping_kw):
+    """A chip on the pre-redesign executor's mapping: one unbounded tile
+    per layer, so its seeded variation draws land in the same order.  It
+    calibrates its own unit, so the mapping -> unit translation is under
+    test too."""
+    program = compile_model(model, design, MappingConfig(
+        tile_rows=None, tile_cols=None, **mapping_kw))
+    return Chip(program, design)
+
+
 class TestShimEquivalence:
     def test_vgg_forward_and_predict_nominal(self, vgg, design, images,
                                              legacy_nominal):
-        shim = CimExecutor(vgg, design,
-                           CimExecutionConfig(temp_c=27.0, bits=8))
+        chip = spanning_chip(vgg, design, temp_c=27.0, bits=8)
         for temp in (None, 0.0, 85.0):
-            assert np.array_equal(shim.forward(images, temp_c=temp),
+            assert np.array_equal(chip.forward(images, temp_c=temp),
                                   legacy_nominal.forward(images,
                                                          temp_c=temp))
-        assert np.array_equal(shim.predict(images, batch_size=4),
+        assert np.array_equal(chip.predict(images, batch_size=4),
                               legacy_nominal.predict(images, batch_size=4))
 
     def test_vgg_with_process_variation_and_redraw(self, legacy_cim, vgg,
                                                    design, images):
         kwargs = dict(temp_c=27.0, bits=8, sigma_vth_fefet=54e-3,
                       sigma_vth_mosfet=15e-3, seed=11)
-        shim = CimExecutor(vgg, design, CimExecutionConfig(**kwargs))
         legacy = legacy_cim.CimExecutor(
             vgg, design, legacy_cim.CimExecutionConfig(**kwargs))
-        assert np.array_equal(shim.forward(images), legacy.forward(images))
-        shim.redraw_variation(99)
+        chip = spanning_chip(vgg, design, **kwargs)
+        assert np.array_equal(chip.forward(images), legacy.forward(images))
+        chip.redraw_variation(99)
         legacy.redraw_variation(99)
-        assert np.array_equal(shim.forward(images), legacy.forward(images))
+        assert np.array_equal(chip.forward(images), legacy.forward(images))
 
     def test_tiled_program_matches_legacy_on_vgg(self, vgg, design, images,
                                                  legacy_nominal):
@@ -97,9 +106,3 @@ class TestShimEquivalence:
             [legacy_nominal.forward(images[i:i + 1], temp_c=85.0)
              for i in range(images.shape[0])])
         assert np.array_equal(served, reference)
-
-    def test_shim_exposes_legacy_attributes(self, vgg, design):
-        shim = CimExecutor(vgg, design, CimExecutionConfig())
-        assert shim.mac_unit is shim.chip.unit
-        assert shim.backend is shim.chip.backend
-        assert shim.program.mapping.spans_layers

@@ -3,7 +3,8 @@
 Sessions and pools must serve a ``bits_per_cell > 1`` program unchanged
 — same logits as a direct ``chip.forward`` — and a ``bits_per_cell=1``
 program must stay bit-identical to the default mapping through every
-serving substrate (session, threaded pool, process pool)."""
+serving substrate (session, threaded pool, process pool).  Both pool
+substrates must also meter the same modeled energy."""
 
 import numpy as np
 import pytest
@@ -95,3 +96,27 @@ class TestPools:
         for a, b in zip(per_replica, again):
             assert np.array_equal(a, b)
         assert not np.array_equal(per_replica[0], per_replica[1])
+
+    @pytest.mark.parametrize("b", [
+        1,
+        pytest.param(2, marks=pytest.mark.xfail(strict=True, reason=(
+            "shm.bootstrap_chip builds a process replica's ChipMeter "
+            "from energy_per_mac_j, cells_per_row and latency only, so "
+            "it prices a 2-bit row op at one binary-row energy instead "
+            "of two"))),
+    ])
+    def test_modeled_energy_matches_across_substrates(self, b):
+        """A replica meters the same modeled energy whether it runs on a
+        scheduler thread or in a worker process."""
+        program = build_program(bits_per_cell=b)
+        energy = {}
+        for workers in ("threads", "processes"):
+            with ChipPool(program, DESIGN, n_replicas=2, max_batch_size=4,
+                          autostart=False, workers=workers) as pool:
+                tickets = [pool.submit(x, temp_c=27.0) for x in requests(4)]
+                while pool.step():
+                    pass
+                energy[workers] = sum(t.result(timeout=30.0).telemetry.energy_j
+                                      for t in tickets)
+        assert energy["threads"] > 0
+        assert energy["processes"] == pytest.approx(energy["threads"])

@@ -1,6 +1,7 @@
 """Tests for the sharded ChipPool: equivalence, scheduling, lifecycle."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from repro.cells import TwoTOneFeFETCell
 from repro.compiler import Chip, MappingConfig, compile_model
 from repro.compiler.chip import replica_variation_seed
 from repro.nn import Dense, ReLU, Sequential
-from repro.serve import ChipPool, InferenceSession, PoolStats
+from repro.serve import ChipPool, PoolStats
 
 
 def build_program(sigma=0.0, seed=0):
@@ -38,25 +39,22 @@ def requests(n, rng_seed=1, images=1):
 
 
 class TestSessionEquivalence:
-    """The acceptance gate: a 1-replica pool == InferenceSession, exactly."""
+    """The acceptance gate: a 1-replica pool (an ``InferenceSession``)
+    serves every request exactly its own forward pass on a fresh
+    ``Chip(program, design)``."""
 
-    def session_logits(self, program, design, xs, temps):
-        with InferenceSession(Chip(program, design), max_batch_size=4,
-                              autostart=False) as session:
-            tickets = [session.submit(x, temp_c=t)
-                       for x, t in zip(xs, temps)]
-            while session.step():
-                pass
-            return [t.result(timeout=10.0).logits for t in tickets]
+    def forward_logits(self, program, design, xs, temps):
+        chip = Chip(program, design)
+        return [chip.forward(x, temp_c=t) for x, t in zip(xs, temps)]
 
     @pytest.mark.parametrize("autostart", [False, True])
     def test_single_replica_bit_identical(self, varied, autostart):
         """Variation enabled, mixed temps and ragged request sizes — the
-        pool still serves exactly the session's logits."""
+        pool still serves exactly the per-request logits."""
         program, design = varied
         xs = requests(6) + requests(2, rng_seed=9, images=3)
         temps = [85.0, 27.0, 85.0, None, 0.0, 27.0, None, 85.0]
-        expected = self.session_logits(program, design, xs, temps)
+        expected = self.forward_logits(program, design, xs, temps)
         with ChipPool(program, design, n_replicas=1, max_batch_size=4,
                       autostart=autostart) as pool:
             tickets = [pool.submit(x, temp_c=t)
@@ -70,10 +68,10 @@ class TestSessionEquivalence:
 
     def test_nominal_fleet_bit_identical(self, nominal):
         """Zero-sigma replicas redraw to identical tiles, so any replica
-        serves the session's exact logits."""
+        serves the per-request logits exactly."""
         program, design = nominal
         xs = requests(8)
-        expected = self.session_logits(program, design, xs, [None] * 8)
+        expected = self.forward_logits(program, design, xs, [None] * 8)
         with ChipPool(program, design, n_replicas=3,
                       max_batch_size=4) as pool:
             got = [pool.submit(x).result(timeout=10.0).logits for x in xs]
@@ -184,11 +182,32 @@ class TestScheduling:
         """Binning is locality, not utilization: a replica whose bin has
         no traffic steals from the loaded bin instead of idling."""
         program, design = nominal
-        with ChipPool(program, design, n_replicas=2, temp_bins=(40.0,),
+        chips = Chip.build_replicas(program, design, 2)
+        # Replica 0 holds its first batch (which carries the pinned
+        # request) until the steal lands, so the outcome does not hinge
+        # on which scheduler thread wakes first.
+        release = threading.Event()
+        forward = chips[0].forward
+
+        def held_forward(*args, **kwargs):
+            release.wait(timeout=10.0)
+            return forward(*args, **kwargs)
+
+        chips[0].forward = held_forward
+        with ChipPool(program, design, chips=chips, temp_bins=(40.0,),
                       max_batch_size=2, linger_s=0.2) as pool:
             # Everything cold -> bin 0 -> replica 0; replica 1's hot bin
             # is empty, so it must cross-bin steal.
-            tickets = [pool.submit(x, temp_c=0.0) for x in requests(8)]
+            xs = requests(8)
+            try:
+                tickets = [pool.submit_to(0, xs[0], temp_c=0.0)]
+                tickets += [pool.submit(x, temp_c=0.0) for x in xs[1:]]
+                deadline = time.monotonic() + 10.0
+                while (pool.stats().totals["steals"] < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
+            finally:
+                release.set()
             results = [t.result(timeout=10.0) for t in tickets]
             stats = pool.stats()
         assert {r.telemetry.replica for r in results} == {0, 1}

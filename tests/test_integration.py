@@ -61,9 +61,9 @@ class TestFullPipeline:
 class TestNNPipeline:
     def test_tiny_end_to_end(self):
         """Train a tiny net, lower it to the array, accuracy survives."""
+        from repro.compiler import Chip, MappingConfig, compile_model
         from repro.nn import (Adam, Dense, ReLU, Sequential, TrainConfig,
                               train)
-        from repro.nn.cim_executor import CimExecutionConfig, CimExecutor
 
         rng = np.random.default_rng(0)
         centers = np.array([[1.5, 0.0], [-1.5, 1.0], [0.0, -1.5]])
@@ -77,8 +77,10 @@ class TestNNPipeline:
         float_acc = classification_accuracy(model.predict(x), labels)
         assert float_acc > 0.9
 
+        design = TwoTOneFeFETCell()
         for temp in (0.0, 85.0):
-            executor = CimExecutor(model, TwoTOneFeFETCell(),
-                                   CimExecutionConfig(temp_c=temp, bits=8))
-            cim_acc = classification_accuracy(executor.predict(x), labels)
+            chip = Chip(compile_model(model, design, MappingConfig(
+                tile_rows=None, tile_cols=None, temp_c=temp, bits=8)),
+                design)
+            cim_acc = classification_accuracy(chip.predict(x), labels)
             assert cim_acc > float_acc - 0.05
