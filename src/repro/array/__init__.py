@@ -8,8 +8,8 @@ charge onto the accumulation capacitor C_acc, realizing eq. (1):
 
 * :mod:`repro.array.row` — circuit-level MAC row (any cell design).
 * :mod:`repro.array.sensing` — eq. (1) analytics + ADC threshold calibration.
-* :mod:`repro.array.mac_unit` — behavioral bit-serial 8-bit MAC unit used by
-  the NN executor.
+* :mod:`repro.array.mac_unit` — behavioral bit-serial 8-bit MAC unit behind
+  every compiled :class:`~repro.compiler.chip.Chip`.
 * :mod:`repro.array.backend` — pluggable array backends splitting the MAC
   into weight-stationary programming and per-batch compute (reference
   ``dense`` kernel + batched ``fused`` bit-plane kernel).

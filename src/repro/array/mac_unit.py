@@ -1,8 +1,9 @@
 """Behavioral bit-serial MAC unit — the fast path for NN-scale simulation.
 
 Running the full MNA transient for every dot product of a CNN is hopeless
-(a single small image needs ~10^6 row operations), so the NN executor uses a
-*behavioral twin* of the circuit-level row:
+(a single small image needs ~10^6 row operations), so a compiled chip
+(:class:`~repro.compiler.chip.Chip`) runs a *behavioral twin* of the
+circuit-level row:
 
 1. At construction, the unit runs the real circuit transient for the cell's
    four (weight, input) states across a temperature grid and for perturbed
@@ -23,7 +24,7 @@ model's physics.
 Multi-bit matmuls are executed by a pluggable *array backend*
 (:mod:`repro.array.backend`): :meth:`BitSerialMacUnit.matmul` is a one-shot
 convenience that programs the weights and computes in a single call, while
-callers that reuse a weight matrix (the NN executor, Monte-Carlo sweeps)
+callers that reuse a weight matrix (a chip's tiles, Monte-Carlo sweeps)
 program once via ``unit.backend.program`` and run
 ``unit.backend.matmul`` per activation batch — the weight-stationary flow
 of real nonvolatile hardware.

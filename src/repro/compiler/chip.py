@@ -14,10 +14,12 @@ the moment the design stops being data and becomes (modeled) hardware:
   peripherals); partial sums accumulate across row-block tiles per the
   program's plan;
 * a :class:`ChipMeter` counts physical row operations and bit-serial
-  cycles per tile, pricing them through :mod:`repro.array.energy`
-  (per-row-op energy, the paper's 3.14 fJ by default or a measured
-  :class:`~repro.array.energy.EnergyReport`) and
-  :mod:`repro.array.timing` (:class:`~repro.array.timing.LatencySpec`).
+  cycles per tile and prices them through the chip's one estimator
+  (:mod:`repro.tune.estimators`): the paper-calibrated table (3.14 fJ
+  per 8-cell row MAC, :class:`~repro.array.timing.LatencySpec` phases)
+  at the mapping's geometry by default, or a measured report passed as
+  ``Chip(program, design, estimator=report.estimator())``.  Replicas
+  built from a chip share its estimator.
 
 Bit-exactness across tilings
 ----------------------------
@@ -60,12 +62,12 @@ import numpy as np
 
 from repro.array.backend import _validate_x_codes
 from repro.array.mac_unit import BehavioralMacConfig, BitSerialMacUnit
-from repro.array.timing import LatencySpec
 from repro.compiler.lowering import layer_matmul_weights
 from repro.devices.retention import DriftState, RetentionModel
 from repro.nn import functional as F
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.quantize import quantize_tensor
+from repro.tune.estimators import TableMacEstimator
 
 
 def replica_variation_seed(base_seed, replica_index):
@@ -102,74 +104,25 @@ class ChipMeter:
 
     Counts are *physical*: one row op is one 8-cell analog MAC (one
     (activation-bit, weight-plane, chunk, column) firing for one
-    activation row).  Pricing goes through a per-component estimator
-    (:mod:`repro.tune.estimators`): energy prices row ops at the
-    estimator's ``row_read`` action, latency prices the serial bit
-    cycles at its summed read/share/decode phases — bit-identical to
-    the original ``energy_per_mac_j`` / ``latency.mac_latency_s``
-    formulas.  Thread-safe — sessions meter concurrent requests against
-    one chip.
+    activation row).  Pricing goes through one per-component
+    ``estimator`` (:mod:`repro.tune.estimators`; default the paper's
+    8-cell binary :class:`~repro.tune.estimators.TableMacEstimator`):
+    energy prices row ops at its ``row_read`` action — a multibit row
+    op costs ``bits_per_cell`` binary-row energies, so the MLC win shows
+    up as *fewer row ops*, not cheaper ones — and latency prices the
+    serial bit cycles at its summed read/share/decode phases.
+    Thread-safe — sessions meter concurrent requests against one chip.
     """
 
-    def __init__(self, latency=None, energy_per_mac_j=None,
-                 energy_report=None, cells_per_row=None,
-                 bits_per_cell=1, estimator=None):
-        from repro.tune.estimators import TableMacEstimator
-
-        if estimator is not None:
-            # The estimator carries the complete pricing model; mixing
-            # it with loose overrides would let the two drift apart.
-            if (energy_per_mac_j is not None or energy_report is not None
-                    or latency is not None):
-                raise ValueError(
-                    "an estimator carries its own energy/latency model; "
-                    "pass either estimator= or the loose knobs, not both")
-            self.estimator = estimator
-            self.latency = estimator.latency
-            self.energy_per_mac_j = float(estimator.per_mac_energy_j())
-            self.cells_per_row = int(estimator.cells_per_row)
-            self.bits_per_cell = int(estimator.bits_per_cell)
-            if (cells_per_row is not None
-                    and int(cells_per_row) != self.cells_per_row):
-                raise ValueError(
-                    f"estimator is a {self.cells_per_row} cells/row "
-                    f"component; cannot meter {cells_per_row} cells/row")
-        else:
-            if energy_per_mac_j is None:
-                energy_per_mac_j = (energy_report.average_energy_j
-                                    if energy_report is not None
-                                    else None)
-            if cells_per_row is None:
-                # A measured report knows the width its per-MAC energy
-                # was taken at; only a report-less meter falls back to
-                # the paper's 8.
-                cells_per_row = (energy_report.cells_per_row
-                                 if energy_report is not None else 8)
-            self.latency = latency or LatencySpec()
-            #: Magnitude bits per cell: a multibit row op is priced at
-            #: ``bits_per_cell`` binary-row energies (each stored level
-            #: pair costs one binary read's worth of sensing —
-            #: conservative per-level accounting) and credited with
-            #: ``cells * b + 1`` primitive bit-ops.  The MLC win shows
-            #: up as *fewer row ops* (fewer digit planes), not as
-            #: cheaper individual ops.  The table estimator implements
-            #: exactly this accounting.
-            self.estimator = TableMacEstimator(
-                energy_per_mac_j,  # None -> the paper's 3.14 fJ
-                cells_per_row=cells_per_row,
-                bits_per_cell=bits_per_cell,
-                latency=self.latency,
-                energy_table=(
-                    {op.mac_value: op.energy_j
-                     for op in energy_report.operations}
-                    if energy_report is not None else None))
-            self.energy_per_mac_j = self.estimator.energy_per_mac_j
-            #: Row width behind every metered row op — the per-MAC ->
-            #: per-primitive-op conversion depends on it, so TOPS/W
-            #: reported here must use the design's actual width, not an
-            #: assumed 8.
-            self.cells_per_row = int(cells_per_row)
-            self.bits_per_cell = int(bits_per_cell)
+    def __init__(self, estimator=None):
+        self.estimator = estimator or TableMacEstimator()
+        self.latency = self.estimator.latency
+        self.energy_per_mac_j = float(self.estimator.per_mac_energy_j())
+        #: Row width behind every metered row op — the per-MAC ->
+        #: per-primitive-op conversion depends on it, so TOPS/W reported
+        #: here uses the design's actual width, not an assumed 8.
+        self.cells_per_row = int(self.estimator.cells_per_row)
+        self.bits_per_cell = int(self.estimator.bits_per_cell)
         self._lock = threading.Lock()
         self.reset()
 
@@ -307,15 +260,20 @@ class ChipMeter:
 
 
 class Chip:
-    """A :class:`CompiledProgram` written onto a physical array backend."""
+    """A :class:`CompiledProgram` written onto a physical array backend.
 
-    def __init__(self, program, design, *, mac_config=None, meter=None,
-                 latency=None, energy_report=None, estimator=None,
+    ``estimator`` prices the chip's :class:`ChipMeter` and must model the
+    mapping's geometry; ``meter`` adopts a pre-built meter as-is (the
+    process-worker bootstrap).  With ``unit`` and ``programmed`` the chip
+    binds already-materialized state (e.g. shared-memory buffers) and
+    writes nothing, so N processes may bind one mapped copy.
+    """
+
+    def __init__(self, program, design, *, estimator=None, meter=None,
                  unit=None, programmed=None):
         self.program = program
         self.design = design
         mapping = program.mapping
-        base = mac_config or BehavioralMacConfig()
         # ``unit`` reuses an already-calibrated MAC unit (circuit-level
         # calibration is the expensive part of chip bring-up); the caller
         # guarantees it matches the mapping's bits/sigma/backend.
@@ -323,11 +281,9 @@ class Chip:
             cells_per_row=mapping.cells_per_row,
             bits_x=mapping.bits,
             bits_w=mapping.bits,
-            temp_grid_c=base.temp_grid_c,
             sigma_vth_fefet=mapping.sigma_vth_fefet,
             sigma_vth_mosfet=mapping.sigma_vth_mosfet,
             seed=mapping.seed,
-            sensing=base.sensing,
             backend=mapping.backend,
             bits_per_cell=mapping.bits_per_cell,
         ))
@@ -341,34 +297,24 @@ class Chip:
             from repro.array.backend import make_backend
 
             self.backend = make_backend(mapping.backend, self.unit)
-        # A measured report taken at a different row width would silently
-        # mis-price every op (the per-MAC energy embeds the width); refuse
+        # An estimator of another geometry would silently mis-price every
+        # op (a measured per-MAC energy embeds its row width); refuse
         # rather than drift.
-        if (energy_report is not None
-                and energy_report.cells_per_row != mapping.cells_per_row):
-            raise ValueError(
-                f"energy report measured at {energy_report.cells_per_row} "
-                f"cells/row cannot meter a {mapping.cells_per_row} "
-                f"cells/row mapping")
-        # Same drift guard for a full estimator: its component geometry
-        # must be the mapping's.
-        if estimator is not None:
-            if estimator.cells_per_row != mapping.cells_per_row:
-                raise ValueError(
-                    f"estimator models {estimator.cells_per_row} cells/row;"
-                    f" cannot meter a {mapping.cells_per_row} cells/row "
-                    f"mapping")
-            if estimator.bits_per_cell != mapping.bits_per_cell:
-                raise ValueError(
-                    f"estimator models {estimator.bits_per_cell} bits/cell;"
-                    f" cannot meter a {mapping.bits_per_cell} bits/cell "
-                    f"mapping")
-            self.meter = meter or ChipMeter(estimator=estimator)
-        else:
-            self.meter = meter or ChipMeter(
-                latency=latency, energy_report=energy_report,
+        if estimator is None:
+            estimator = TableMacEstimator(
                 cells_per_row=mapping.cells_per_row,
                 bits_per_cell=mapping.bits_per_cell)
+        if estimator.cells_per_row != mapping.cells_per_row:
+            raise ValueError(
+                f"estimator models {estimator.cells_per_row} cells/row;"
+                f" cannot meter a {mapping.cells_per_row} cells/row "
+                f"mapping")
+        if estimator.bits_per_cell != mapping.bits_per_cell:
+            raise ValueError(
+                f"estimator models {estimator.bits_per_cell} bits/cell;"
+                f" cannot meter a {mapping.bits_per_cell} bits/cell "
+                f"mapping")
+        self.meter = meter or ChipMeter(estimator)
         # ``programmed`` adopts tiles already written by a sibling chip
         # of the same program (see :meth:`build_replicas`): the bit-plane
         # decomposition is weight-determined, so replicas share it and
@@ -391,34 +337,17 @@ class Chip:
         return self.program.mapping
 
     @classmethod
-    def bind(cls, program, design, *, unit, programmed, meter=None,
-             latency=None, energy_report=None):
-        """A chip over already-materialized state — no writes, no RNG.
-
-        The worker-bootstrap entry point: ``unit`` is a calibrated MAC
-        unit and ``programmed`` the complete ``(layer, row, col) ->
-        ProgrammedArray`` dict, typically rebuilt over buffers mapped
-        from shared memory (:func:`repro.artifacts.serialization.\
-decode_live_planes`) or restored from an artifact.  The bound chip
-        never touches the buffers mutably — programming happened in
-        whatever process materialized them — so N processes may bind
-        the same mapped copy.
-        """
-        return cls(program, design, unit=unit, programmed=programmed,
-                   meter=meter, latency=latency,
-                   energy_report=energy_report)
-
-    @classmethod
-    def build_replicas(cls, program, design, n_replicas, *,
-                       mac_config=None, latency=None, energy_report=None,
-                       first=None):
+    def build_replicas(cls, program, design, n_replicas, *, first=None):
         """``n_replicas`` chips from one program — a serving fleet.
 
-        Replica 0 is exactly ``Chip(program, design)`` (the mapping's own
-        per-tile variation draw); every later replica reprograms its tiles
-        with an independent draw seeded by :func:`replica_variation_seed`
-        — each physical chip is its own die, the chip-to-chip variation
-        axis a deployed fleet must stay accurate across.
+        Replica 0 is ``first``, or ``Chip(program, design)`` (the
+        mapping's own per-tile variation draw) when none is given; every
+        later replica reprograms its tiles with an independent draw seeded
+        by :func:`replica_variation_seed` — each physical chip is its own
+        die, the chip-to-chip variation axis a deployed fleet must stay
+        accurate across.  Replicas are priced by the chip they are built
+        from: every later replica meters through replica 0's estimator
+        (``first.meter.estimator``), so the fleet shares one pricing model.
 
         All replicas share replica 0's calibrated MAC unit (circuit-level
         calibration is the expensive part of bring-up, and per-temperature
@@ -442,9 +371,7 @@ decode_live_planes`) or restored from an artifact.  The bound chip
             raise ValueError(
                 "`first` must be programmed from the same CompiledProgram "
                 "the fleet is built for")
-        first = first if first is not None else cls(
-            program, design, mac_config=mac_config,
-            latency=latency, energy_report=energy_report)
+        first = first if first is not None else cls(program, design)
         chips = [first]
         for index in range(1, n_replicas):
             rng = np.random.default_rng(
@@ -452,8 +379,8 @@ decode_live_planes`) or restored from an artifact.  The bound chip
             programmed = {
                 key: first.backend.reprogram_variation(tile, rng=rng)
                 for key, tile in first._programmed.items()}
-            chips.append(cls(program, design, mac_config=mac_config,
-                             latency=latency, energy_report=energy_report,
+            chips.append(cls(program, design,
+                             estimator=first.meter.estimator,
                              unit=first.unit, programmed=programmed))
         return chips
 

@@ -19,19 +19,16 @@ here:
 * :class:`MicroBatchQueue` — a FIFO of :class:`PendingRequest` with the
   coalescing pop: the head-of-line request plus every queued request at
   the same temperature, up to the image budget;
-* :func:`execute_micro_batch` — run one batch on one chip, meter its
-  energy/latency delta, resolve every ticket with per-request telemetry,
-  and return the batch totals for the caller's aggregate counters.
-
-Execution is split into picklable halves so a batch can cross a process
-boundary (the :class:`~repro.serve.pool.ChipPool` ``workers="processes"``
-mode): :func:`make_batch_work` flattens the pending requests into a
-:class:`BatchWork` (activations + temperature + per-request segments —
-no tickets, no locks), :func:`run_batch` executes it on a chip and
-returns a :class:`BatchOutcome` (logits + metered deltas), and
-:func:`settle_batch` / :func:`fail_batch` resolve the tickets back in
-the submitting process.  :func:`execute_micro_batch` is exactly that
-pipeline run locally.
+* the batch pipeline, split into picklable halves so a batch can cross a
+  process boundary (the :class:`~repro.serve.pool.ChipPool`
+  ``workers="processes"`` mode): :func:`make_batch_work` flattens the
+  pending requests into a :class:`BatchWork` (activations + temperature
+  + per-request segments — no tickets, no locks), :func:`run_batch`
+  executes it on a chip and returns a :class:`BatchOutcome` (logits +
+  metered deltas), and :func:`settle_batch` / :func:`fail_batch` resolve
+  the tickets back in the submitting process.  The pool runs this one
+  pipeline on both substrates, with :func:`run_batch` inline on a
+  scheduler thread or inside a worker process.
 """
 
 from __future__ import annotations
@@ -404,27 +401,3 @@ def settle_batch(batch, outcome, *, start, replica=0,
         offset += images
     return report
 
-
-def execute_micro_batch(chip, batch, *, replica=0, commit=None,
-                        advance_s=0.0):
-    """Run one micro-batch on ``chip`` and resolve its tickets.
-
-    Concatenates the request tensors into one tiled forward pass with
-    per-request ``segments`` (dynamic activation quantization stays
-    request-local, so micro-batching never changes any request's logits),
-    meters the chip's modeled energy/latency delta, and hands every
-    request its share.  On failure the error propagates to every waiter.
-
-    This is the in-process pipeline: :func:`make_batch_work` ->
-    :func:`run_batch` -> :func:`settle_batch`, with the chip living in
-    the calling thread.  A process-mode pool runs the same middle step
-    remotely and settles here.
-    """
-    start = time.perf_counter()
-    work = make_batch_work(batch, advance_s=advance_s)
-    try:
-        outcome = run_batch(chip, work)
-    except Exception as error:            # propagate to every waiter
-        return fail_batch(batch, error, start=start, commit=commit)
-    return settle_batch(batch, outcome, start=start, replica=replica,
-                        commit=commit)

@@ -18,8 +18,10 @@ same pool with one replica.
   temperature-coalescing :class:`~repro.serve.batching.MicroBatchQueue`
   and (in threaded mode) one worker thread.  ``submit`` routes each
   request to the least-loaded eligible replica; an idle worker steals the
-  oldest waiting batch from a loaded peer — straggler re-dispatch, so one
-  slow or drained replica cannot strand queued requests.
+  oldest waiting batch from a busy or retiring peer — straggler
+  re-dispatch, so one slow or drained replica cannot strand queued
+  requests.  An idle peer is never robbed: it serves its own queue once
+  its linger window closes.
 * **Temperature binning.**  ``temp_bins`` partitions the operating range
   at the given edges and assigns replicas to bins round-robin; requests
   route within their bin, and thieves prefer same-bin victims, keeping
@@ -38,11 +40,12 @@ same pool with one replica.
   (makespan), not the sum, and energy prices through
   :mod:`repro.metrics.efficiency` at the mapping's actual row width.
 
-Bit-exactness: batching is request-local on every chip (see
-:func:`~repro.serve.batching.execute_micro_batch`), so every request
-gets exactly the logits of its own ``chip.forward`` on the replica that
-served it, and replica 0 is bit-identical to ``Chip(program, design)``
-— enforced against per-request forwards by ``tests/serve/test_pool.py``.
+Bit-exactness: batching is request-local on every chip (a batch runs
+as one ``chip.forward`` with per-request ``segments``, see
+:func:`~repro.serve.batching.run_batch`), so every request gets exactly
+the logits of its own ``chip.forward`` on the replica that served it,
+and replica 0 is bit-identical to ``Chip(program, design)`` — enforced
+against per-request forwards by ``tests/serve/test_pool.py``.
 
 Threading model: any number of producers call :meth:`submit` /
 :meth:`infer`; exactly one worker executes each chip (meters and decode
@@ -88,9 +91,9 @@ from repro.serve.batching import (
     MicroBatchQueue,
     PendingRequest,
     canonical_temp,
-    execute_micro_batch,
     fail_batch,
     make_batch_work,
+    run_batch,
     settle_batch,
 )
 
@@ -363,8 +366,7 @@ class ChipPool:
 
     def __init__(self, program, design, n_replicas=2, *, temp_bins=None,
                  max_batch_size=64, linger_s=0.002, autostart=True,
-                 workers="threads", mac_config=None, latency=None,
-                 energy_report=None, chips=None, drift=None):
+                 workers="threads", chips=None, drift=None):
         # Cheap parameter validation first — replica bring-up programs
         # whole chips, and an invalid pool should fail before paying it.
         if workers not in WORKER_MODES:
@@ -391,9 +393,7 @@ class ChipPool:
                 f"{n_bins} temperature bins need at least {n_bins} "
                 f"replicas, got {n_replicas}")
         if chips is None:
-            chips = Chip.build_replicas(
-                program, design, n_replicas, mac_config=mac_config,
-                latency=latency, energy_report=energy_report)
+            chips = Chip.build_replicas(program, design, n_replicas)
         # Drift must attach before _setup: process mode publishes the
         # fleet there, and the boot payloads carry each chip's model.
         self.drift_spec = drift
@@ -584,26 +584,40 @@ class ChipPool:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
+    def _victims(self, thief):
+        """Peers ``thief`` may steal from (caller holds the lock).
+
+        A victim is a same-group straggler with stealable work queued:
+        busy with a batch, or retiring (draining, maintaining, dead).
+        An idle live peer is never robbed — its own thread serves its
+        queue when its linger window closes.  Under the GIL such an
+        owner can wait milliseconds for the interpreter while a thief
+        runs, and robbing it would pile a whole burst onto one replica.
+        """
+        return [w for w in self.workers
+                if w is not thief and w.group == thief.group
+                and (w.in_flight or not w.live)
+                and w.queue.has_stealable()]
+
     def _steal_batch_locked(self, thief):
-        """Take the oldest eligible batch from the most-loaded peer.
+        """Take the oldest eligible batch from the most-loaded victim.
 
         The straggler re-dispatch path: requests were routed when queue
         depths looked different, so an idle worker pulls the *head* (the
-        longest-waiting requests) of the deepest peer queue.  Same-bin
-        victims are preferred (stolen work stays on warm level/decode
-        caches), but an otherwise-idle thief falls back to any loaded
-        peer — binning is a locality policy, and locality never
-        justifies an idle chip next to a deep queue.  Draining peers are
-        valid victims: stealing accelerates a drain.  Victims always
-        come from the thief's own group: stolen work must run on a chip
-        programmed with the same model.  Pinned requests (``submit_to``
-        probes — replica A/B comparisons, divergence) are never stolen:
-        replicas are distinct variation draws, and a stolen probe would
-        silently answer with a different die's logits.
+        longest-waiting requests) of the deepest queue behind a busy or
+        retiring peer (:meth:`_victims`).  Same-bin victims are
+        preferred (stolen work stays on warm level/decode caches), but
+        an otherwise-idle thief falls back to any victim — binning is a
+        locality policy, and locality never justifies an idle chip next
+        to a deep queue.  Draining peers are valid victims: stealing
+        accelerates a drain.  Victims always come from the thief's own
+        group: stolen work must run on a chip programmed with the same
+        model.  Pinned requests (``submit_to`` probes — replica A/B
+        comparisons, divergence) are never stolen: replicas are distinct
+        variation draws, and a stolen probe would silently answer with a
+        different die's logits.
         """
-        victims = [w for w in self.workers
-                   if w is not thief and w.group == thief.group
-                   and w.queue.has_stealable()]
+        victims = self._victims(thief)
         if not victims:
             return []
         if self.temp_bins:
@@ -619,13 +633,16 @@ class ChipPool:
         resolve, so a waiter woken by its result always finds its batch
         in :meth:`stats`.
 
-        In process mode the batch round-trips through the replica's
-        worker proxy — the scheduler thread blocks in pipe I/O (GIL
-        released) while the worker process computes.  A broken pipe
-        means the process died: the replica is retired and the batch
-        re-dispatched (:meth:`_abandon_replica`); a worker-side forward
-        error comes back pickled and fails just this batch, exactly as
-        in threaded mode.
+        One pipeline on both substrates: flatten the batch
+        (:func:`~repro.serve.batching.make_batch_work`), run it on the
+        replica's chip — inline on this thread, or round-tripped through
+        the worker proxy in process mode (the scheduler thread blocks in
+        pipe I/O, GIL released, while the worker computes) — then settle
+        or fail every ticket.  Any error, from stacking the requests to
+        the forward, fails just this batch and the replica keeps
+        serving.  A broken pipe means the worker process died: the
+        replica is retired and the batch re-dispatched
+        (:meth:`_abandon_replica`).
         """
 
         def commit(report):
@@ -652,29 +669,24 @@ class ChipPool:
                      if spec is not None else 0.0)
         with self._cond:
             worker.in_flight += 1
+            if worker.queue.has_stealable():
+                # What this batch left queued is now stealable.
+                self._cond.notify_all()
+        start = time.perf_counter()
         try:
-            if worker.proxy is None:
-                execute_micro_batch(worker.chip, batch,
-                                    replica=worker.index, commit=commit,
-                                    advance_s=advance_s)
-                if worker.chip.drift is not None:
-                    with self._cond:
-                        worker.drift_info = worker.chip.drift.summary()
-                return
-            start = time.perf_counter()
             work = make_batch_work(batch, advance_s=advance_s)
-            try:
-                outcome = worker.proxy.execute(work)
-            except shm.WorkerCrash as crash:
-                self._abandon_replica(worker, batch, crash)
-            except Exception as error:   # worker-side failure, process OK
-                fail_batch(batch, error, start=start, commit=commit)
-            else:
-                if outcome.drift is not None:
-                    with self._cond:
-                        worker.drift_info = dict(outcome.drift)
-                settle_batch(batch, outcome, start=start,
-                             replica=worker.index, commit=commit)
+            outcome = (run_batch(worker.chip, work) if worker.proxy is None
+                       else worker.proxy.execute(work))
+        except shm.WorkerCrash as crash:
+            self._abandon_replica(worker, batch, crash)
+        except Exception as error:       # fails this batch, replica OK
+            fail_batch(batch, error, start=start, commit=commit)
+        else:
+            if outcome.drift is not None:
+                with self._cond:
+                    worker.drift_info = dict(outcome.drift)
+            settle_batch(batch, outcome, start=start,
+                         replica=worker.index, commit=commit)
         finally:
             with self._cond:
                 worker.in_flight -= 1
@@ -770,8 +782,7 @@ class ChipPool:
 
     def _steal_available(self, thief):
         """Any peer queue this worker could steal from (caller holds lock)."""
-        return any(w is not thief and w.group == thief.group
-                   and w.queue.has_stealable() for w in self.workers)
+        return bool(self._victims(thief))
 
     def step(self):
         """Synchronously serve one micro-batch from the next non-empty

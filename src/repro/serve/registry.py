@@ -64,24 +64,23 @@ class RegisteredProgram:
             self.chip = Chip(self.program, self.design)
         return self.chip
 
-    def build_chips(self, n_replicas, *, latency=None, energy_report=None):
+    def build_chips(self, n_replicas):
         """A fresh ``n_replicas``-chip fleet for one pool.
 
         The warm chip is never placed into a pool directly — pools own
         their replicas' meters, and sharing one chip between two pools
         would interleave their telemetry.  Instead replica 0 is a new
-        ``Chip`` adopting the warm chip's calibrated unit and programmed
-        tiles (milliseconds, bit-identical forward), and replicas 1..n-1
-        redraw variation exactly as :meth:`Chip.build_replicas` always
-        does.
+        ``Chip`` adopting the warm chip's calibrated unit, programmed
+        tiles and estimator (milliseconds, bit-identical forward, same
+        pricing), and replicas 1..n-1 redraw variation exactly as
+        :meth:`Chip.build_replicas` always does.
         """
         warm = self.warm_chip()
-        first = Chip(self.program, self.design, unit=warm.unit,
-                     programmed=warm._programmed, latency=latency,
-                     energy_report=energy_report)
+        first = Chip(self.program, self.design,
+                     estimator=warm.meter.estimator, unit=warm.unit,
+                     programmed=warm._programmed)
         return Chip.build_replicas(self.program, self.design, n_replicas,
-                                   latency=latency,
-                                   energy_report=energy_report, first=first)
+                                   first=first)
 
     def describe(self):
         return {
@@ -186,7 +185,7 @@ class MultiProgramPool(ChipPool):
 
     def __init__(self, registry, names=None, *, replicas=2,
                  max_batch_size=64, linger_s=0.002, autostart=True,
-                 workers="threads", latency=None, energy_report=None):
+                 workers="threads"):
         names = tuple(names) if names is not None else registry.names()
         if not names:
             raise ValueError("a multi-program pool needs at least one "
@@ -208,8 +207,7 @@ class MultiProgramPool(ChipPool):
             if n < 1:
                 raise ValueError(
                     f"program {name!r} needs at least one replica")
-            for chip in entry.build_chips(n, latency=latency,
-                                          energy_report=energy_report):
+            for chip in entry.build_chips(n):
                 replica_workers.append(
                     _ReplicaWorker(len(replica_workers), chip, 0,
                                    max_batch_size, group=name))

@@ -196,7 +196,9 @@ def evaluate_candidate(candidate, workload, *, design, model, images,
     mapping = candidate.mapping
     started = time.perf_counter()
     program = compile_model(model, design, mapping)
-    chip = Chip(program, design, unit=unit, energy_report=energy_report)
+    chip = Chip(program, design, unit=unit,
+                estimator=(energy_report.estimator()
+                           if energy_report is not None else None))
     images_total = workload.n_probe * len(workload.temps_c)
 
     logits_by_temp = {}
@@ -214,7 +216,6 @@ def evaluate_candidate(candidate, workload, *, design, model, images,
         from repro.serve import ChipPool
 
         chips = Chip.build_replicas(program, design, candidate.n_replicas,
-                                    energy_report=energy_report,
                                     first=chip)
         pool = ChipPool(program, design, n_replicas=candidate.n_replicas,
                         temp_bins=candidate.temp_bins, max_batch_size=1,

@@ -80,7 +80,7 @@ class TestMeter:
         report = EnergyReport(
             tuple(OperationEnergy(k, 2e-15, {}) for k in range(9)))
         metered = Chip(chip.program, design, unit=chip.unit,
-                       energy_report=report)
+                       estimator=report.estimator())
         assert metered.meter.energy_per_mac_j == pytest.approx(2e-15)
 
     def test_mismatched_energy_report_row_width_rejected(self, design,
@@ -94,7 +94,7 @@ class TestMeter:
             cells_per_row=4)
         with pytest.raises(ValueError, match="cells/row"):
             Chip(chip.program, design, unit=chip.unit,
-                 energy_report=report)
+                 estimator=report.estimator())
 
     def test_standalone_meter_adopts_report_row_width(self):
         """A meter built from a measured report prices ops at the
@@ -105,9 +105,21 @@ class TestMeter:
         report = EnergyReport(
             tuple(OperationEnergy(k, 2e-15, {}) for k in range(5)),
             cells_per_row=4)
-        meter = ChipMeter(energy_report=report)
+        meter = ChipMeter(report.estimator())
         assert meter.cells_per_row == 4
         assert meter.tops_per_watt == pytest.approx(report.tops_per_watt())
+
+    def test_replicas_are_priced_by_the_chip_they_are_built_from(
+            self, design, chip):
+        from repro.tune.estimators import TableMacEstimator
+
+        estimator = TableMacEstimator(
+            2.5e-15, latency=LatencySpec(t_decode_s=0.3e-9))
+        first = Chip(chip.program, design, estimator=estimator,
+                     unit=chip.unit)
+        replicas = Chip.build_replicas(chip.program, design, 3, first=first)
+        assert all(r.meter.estimator is estimator for r in replicas)
+        assert len({id(r.meter) for r in replicas}) == 3
 
     def test_tops_per_watt_follows_mapping_row_width(self, model, design):
         """Cross-consistency: a non-default row width must change the

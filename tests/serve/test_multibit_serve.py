@@ -100,10 +100,10 @@ class TestPools:
     @pytest.mark.parametrize("b", [
         1,
         pytest.param(2, marks=pytest.mark.xfail(strict=True, reason=(
-            "shm.bootstrap_chip builds a process replica's ChipMeter "
-            "from energy_per_mac_j, cells_per_row and latency only, so "
-            "it prices a 2-bit row op at one binary-row energy instead "
-            "of two"))),
+            "shm.publish_fleet boots a process replica with a binary-row "
+            "TableMacEstimator (the parent meter's energy_per_mac_j, "
+            "cells_per_row and latency), so the worker prices a 2-bit "
+            "row op at one binary-row energy instead of two"))),
     ])
     def test_modeled_energy_matches_across_substrates(self, b):
         """A replica meters the same modeled energy whether it runs on a

@@ -213,6 +213,71 @@ class TestScheduling:
         assert {r.telemetry.replica for r in results} == {0, 1}
         assert stats.totals["steals"] >= 1
 
+    def test_thieves_rob_only_busy_or_retiring_peers(self, nominal):
+        """An idle live replica serves its own queue after its linger;
+        a thief takes only work queued behind a busy or retiring peer.
+        (Robbing an idle owner would let whichever thread holds the GIL
+        pile a whole burst onto one replica.)"""
+        program, design = nominal
+        with ChipPool(program, design, n_replicas=2, max_batch_size=4,
+                      autostart=False) as pool:
+            ticket = pool.submit(requests(1)[0])
+            owner = next(w for w in pool.workers if w.queue)
+            thief = next(w for w in pool.workers if w is not owner)
+            with pool._cond:
+                assert pool._steal_available(thief) is False
+                assert pool._steal_batch_locked(thief) == []
+                owner.in_flight = 1
+                assert pool._steal_available(thief) is True
+                owner.in_flight = 0
+                for flag in ("draining", "maintaining"):
+                    setattr(owner, flag, True)
+                    assert pool._steal_available(thief) is True
+                    setattr(owner, flag, False)
+                owner.in_flight = 1
+                stolen = pool._steal_batch_locked(thief)
+                owner.in_flight = 0
+            assert [p.ticket for p in stolen] == [ticket]
+            assert not owner.queue
+            thief.queue.requeue(stolen)
+            pool._pump(ticket)
+            assert ticket.result(timeout=10.0).telemetry.replica == \
+                thief.index
+
+    def test_busy_owner_wakes_parked_thieves(self, nominal):
+        """An owner that starts a batch with work still queued behind it
+        wakes its parked peers, which steal that work at once rather than
+        when the owner's batch ends."""
+        program, design = nominal
+        chips = Chip.build_replicas(program, design, 2)
+        release = threading.Event()
+        forward = chips[0].forward
+
+        def held_forward(*args, **kwargs):
+            release.wait(timeout=10.0)
+            return forward(*args, **kwargs)
+
+        chips[0].forward = held_forward
+        with ChipPool(program, design, chips=chips, temp_bins=(40.0,),
+                      max_batch_size=4, linger_s=0.05) as pool:
+            xs = requests(2)
+            try:
+                # Both route to replica 0 (bin 0) but cannot share a
+                # batch, so its first batch leaves the 10 C request
+                # queued; no later submit wakes replica 1.
+                tickets = [pool.submit(xs[0], temp_c=0.0),
+                           pool.submit(xs[1], temp_c=10.0)]
+                deadline = time.monotonic() + 10.0
+                while (pool.stats().totals["steals"] < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
+                steals = pool.stats().totals["steals"]
+            finally:
+                release.set()
+            results = [t.result(timeout=10.0) for t in tickets]
+        assert steals == 1
+        assert [r.telemetry.replica for r in results] == [0, 1]
+
     def test_binning_needs_enough_replicas(self, nominal):
         program, design = nominal
         with pytest.raises(ValueError, match="bins need at least"):
@@ -286,6 +351,35 @@ class TestLifecycle:
         assert all(t.done() for t in tickets)
         assert all(t.result(timeout=1.0).logits is not None
                    for t in tickets)
+
+    @pytest.mark.parametrize("autostart", [False, True],
+                             ids=["sync", "threads"])
+    def test_unstackable_batch_fails_its_tickets_not_its_replica(
+            self, nominal, autostart):
+        """Requests of 24 and 20 features coalesce into one batch that
+        cannot be stacked: both tickets fail with the ValueError, the
+        replica keeps serving, and a later request is served."""
+        program, design = nominal
+        later = requests(1, images=2)[0]
+        # Two queued images end the linger, so a threaded replica
+        # coalesces both bad requests into one batch too.
+        with ChipPool(program, design, n_replicas=1, max_batch_size=2,
+                      linger_s=5.0, autostart=autostart) as pool:
+            tickets = [pool.submit(np.ones((1, 24))),
+                       pool.submit(np.ones((1, 20)))]
+            if not autostart:
+                pool.step()
+            for ticket in tickets:
+                with pytest.raises(ValueError):
+                    ticket.result(timeout=10.0)
+            served = pool.submit(later)
+            if not autostart:
+                pool.step()
+            logits = served.result(timeout=10.0).logits
+            assert pool.stats().totals["requests"] == 1
+            if autostart:
+                assert pool.workers[0].thread.is_alive()
+        assert np.array_equal(logits, pool.chips[0].forward(later))
 
     def test_submit_after_close_rejected(self, nominal):
         program, design = nominal

@@ -129,6 +129,9 @@ class TestProgramRegistry:
         assert len(chips) == 2
         assert all(c is not entry.chip for c in chips)
         assert all(c.unit is entry.chip.unit for c in chips)
+        # ... but every replica is priced by the registered chip.
+        assert all(c.meter.estimator is entry.chip.meter.estimator
+                   for c in chips)
 
 
 class TestMultiProgramPool:

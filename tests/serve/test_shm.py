@@ -2,6 +2,7 @@
 arena layout, lifecycle hygiene, and zero-copy replica bootstrap."""
 
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -122,6 +123,27 @@ class TestFleetPublication:
             rebuilt, segment = shm.bootstrap_chip(boots[0])
             try:
                 assert np.array_equal(rebuilt.forward(x), expected)
+            finally:
+                segment.close()
+        finally:
+            shm.release(handle.name)
+
+    def test_boot_pickles_and_keeps_meter_pricing(self):
+        """A boot crosses a spawn boundary (pickle) and boots a chip
+        whose meter prices like the parent's."""
+        from repro.array.timing import LatencySpec
+        from repro.tune.estimators import TableMacEstimator
+
+        _, program, design = build_chip()
+        chip = Chip(program, design, estimator=TableMacEstimator(
+            2.5e-15, latency=LatencySpec(t_decode_s=0.3e-9)))
+        handle, boots = shm.publish_fleet([chip])
+        try:
+            rebuilt, segment = shm.bootstrap_chip(
+                pickle.loads(pickle.dumps(boots[0])))
+            try:
+                assert rebuilt.meter.latency == chip.meter.latency
+                assert rebuilt.meter.snapshot() == chip.meter.snapshot()
             finally:
                 segment.close()
         finally:

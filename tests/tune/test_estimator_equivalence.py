@@ -76,40 +76,53 @@ class TestChipMeterEquivalence:
             meter.energy_per_mac_j, meter.cells_per_row)
 
     def test_multibit_meter_prices_per_level(self):
-        meter = self.record(ChipMeter(energy_per_mac_j=2e-15,
-                                      bits_per_cell=2))
+        meter = self.record(ChipMeter(TableMacEstimator(2e-15,
+                                                        bits_per_cell=2)))
         assert meter.energy_per_row_op_j == 2e-15 * 2
         assert meter.energy_j == meter.row_ops * 2e-15 * 2
 
     def test_report_backed_meter_uses_measured_average(self):
         rep = make_report(cells_per_row=4)
-        meter = self.record(ChipMeter(energy_report=rep))
+        meter = self.record(ChipMeter(rep.estimator()))
         assert meter.energy_per_mac_j == rep.average_energy_j
         assert meter.cells_per_row == 4
         assert meter.energy_j == meter.row_ops * rep.average_energy_j
-
-    def test_estimator_meter_matches_loose_knob_meter(self):
-        """ChipMeter(estimator=) and the loose-knob constructor are the
-        same meter: identical snapshots after identical traffic."""
-        spec = LatencySpec(t_decode_s=0.3e-9)
-        est = TableMacEstimator(2.5e-15, cells_per_row=16, bits_per_cell=2,
-                                latency=spec)
-        a = self.record(ChipMeter(estimator=est))
-        b = self.record(ChipMeter(latency=spec, energy_per_mac_j=2.5e-15,
-                                  cells_per_row=16, bits_per_cell=2))
-        assert a.snapshot() == b.snapshot()
-
-    def test_estimator_rejects_loose_knob_mixing(self):
-        est = TableMacEstimator()
-        with pytest.raises(ValueError, match="not both"):
-            ChipMeter(estimator=est, energy_per_mac_j=1e-15)
-        with pytest.raises(ValueError, match="cells/row"):
-            ChipMeter(estimator=est, cells_per_row=4)
 
     def test_snapshot_keys_unchanged(self):
         snap = self.record(ChipMeter()).snapshot()
         assert {"row_ops", "bit_cycles", "matmuls", "energy_j",
                 "latency_s", "tops_per_watt"} <= set(snap)
+
+
+class TestTunerMeasuredPricing:
+    """A measured report prices every chip the tuner scores: replica 0
+    and, through ``Chip.build_replicas``, the rest of the fleet."""
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        from repro.compiler import MappingConfig
+        from repro.tune.space import Candidate
+        from repro.tune.tuner import TuneWorkload, evaluate_candidate
+
+        workload = TuneWorkload(n_probe=2)
+        design, model, images, float_pred = workload.build()
+        mapping = MappingConfig(tile_rows=32, tile_cols=16, bits_per_cell=2)
+        report = make_report(bits_per_cell=2)
+        scores, unit = {}, None
+        for n_replicas in (1, 2):
+            scores[n_replicas], unit = evaluate_candidate(
+                Candidate(mapping, n_replicas), workload, design=design,
+                model=model, images=images, float_pred=float_pred,
+                estimator="circuit", unit=unit, energy_report=report)
+        return report, scores
+
+    @pytest.mark.parametrize("n_replicas", [1, 2])
+    def test_report_prices_every_replica(self, scored, n_replicas):
+        report, scores = scored
+        score = scores[n_replicas]
+        assert score["tops_per_watt"] == report.estimator().tops_per_watt()
+        assert score["energy_j"] == pytest.approx(
+            score["row_ops"] * report.average_energy_j * 2, rel=1e-12)
 
 
 class TestCircuitEquivalence:
