@@ -12,15 +12,17 @@ workload shape of one Table-I VGG conv layer lowered via im2col):
 ``fused``
     Weight-stationary :class:`~repro.array.backend.FusedBitPlaneBackend`:
     program once, batched BLAS plane counts + cached per-temperature
-    LUT decode per batch.
+    LUT decode per batch.  At ``bits_per_cell > 1`` it decodes each
+    distinct chunk input pattern of the batch once instead of every
+    (activation bit, row), so its time tracks the distinct patterns.
 
 All three must produce bit-identical decoded outputs (the harness exits
 nonzero if they do not), so the timing comparison is apples-to-apples.
 
 A second sweep times the fused kernel at 1/2/3 magnitude bits per cell
 (MLC weight encoding): the same weights decompose into ``ceil((bits-1)/b)``
-digit planes per sign instead of ``bits - 1`` bit planes, so the stacked
-BLAS pass and the LUT decode shrink proportionally.  The 1-bit row of the
+digit planes per sign instead of ``bits - 1`` bit planes, so the decode
+of every distinct pattern shrinks proportionally.  The 1-bit row of the
 sweep must stay bit-identical to the binary fused baseline (asserted),
 every multibit row must agree dense-vs-fused bitwise, and
 ``--min-mlc-speedup`` gates the 2-bit row's per-batch speedup over the

@@ -57,12 +57,16 @@ With ``bits_per_cell = b > 1`` each cell stores a digit ``d`` in
 the digit, ``V(d, x=1, T) = V_01 + d * s_on(T)`` and ``V(d, x=0, T) =
 V_00 + d * s_off(T)``, with the endpoints anchored at the binary-cell
 states.  The plane schedule shrinks from ``bits_w - 1`` magnitude bit
-planes to ``ceil((bits_w - 1) / b)`` digit planes — the direct BLAS-pass
-multiplier on the fused backend's hot loop.  Because the digit expression
-reduces *algebraically but not float-bitwise* to the binary expression at
-``b = 1``, the single-bit code paths below are kept literally unchanged
-and the digit paths only run for ``b > 1`` — which is what keeps
-``bits_per_cell=1`` bit-identical to the seed on every backend.
+planes to ``ceil((bits_w - 1) / b)`` digit planes.  The fused backend
+decodes a nominal multibit tile once per distinct chunk input pattern
+rather than once per (activation bit, row): the plane count multiplies
+only the distinct patterns' decode, and batches whose im2col rows repeat
+patterns (most conv layers) decode far fewer LUT addresses than they
+have instances.  Because the digit expression reduces *algebraically but
+not float-bitwise* to the binary expression at ``b = 1``, the single-bit
+code paths below are kept literally unchanged and the digit paths only
+run for ``b > 1`` — which is what keeps ``bits_per_cell=1`` bit-identical
+to the seed on every backend.
 """
 
 from __future__ import annotations
@@ -616,7 +620,11 @@ class FusedBitPlaneBackend(ArrayBackend):
        activation-count)``, each bounded by the 8-cell row — so the whole
        level-combine + ADC-decode chain is a ``(cells+1)^3`` lookup table,
        built once per temperature with exactly the dense backend's float
-       expression (hence bit-identical decodes) and cached.
+       expression (hence bit-identical decodes) and cached.  A chunk's
+       decoded count then depends only on its input bit pattern, so
+       multibit tiles (:meth:`_decode_patterns`) decode each distinct
+       (chunk, pattern) of a matmul once and shift-add the result back
+       over every (activation bit, row) that drove it.
 
     Arrays with programmed-in variation carry a continuous offset, so the
     LUT shortcut does not apply.  Where the nominal decode is exact, the
@@ -626,13 +634,15 @@ class FusedBitPlaneBackend(ArrayBackend):
     voltages explicitly, matching the dense expression
     operation-for-operation.
 
-    Work is blocked over activation rows to bound peak memory
-    (``block_budget`` intermediate elements per block).
+    Work is blocked over activation rows (over chunks on the multibit
+    pattern decode) to bound peak memory (``block_budget`` intermediate
+    elements per block).
     """
 
     name = "fused"
 
-    #: Max elements of the (bits_x, M_block, P, chunks, n) intermediate.
+    #: Max elements of the (bits_x, M_block, P, chunks, n) intermediate
+    #: (of each per-block intermediate on the pattern decode).
     #: The variation path materializes several float64 tensors of that
     #: shape at once, so it gets a proportionally smaller budget.
     block_budget = 16 * 2 ** 20
@@ -852,24 +862,28 @@ class FusedBitPlaneBackend(ArrayBackend):
             wc9 = (programmed.w_counts.astype(dtype)
                    * dtype(programmed.cells + 1))
             stack = {"w32": w32, "wc9": wc9, "idx_dtype": dtype}
-            if programmed.bits_per_cell > 1:
-                # Multibit fast path: fold the whole flat LUT address
-                # into the BLAS by augmenting the cell axis with two
-                # constant inputs — ``idx = S11 * stride + wc9 + n_x1``
-                # comes straight out of one sgemm.  Exact in float32:
-                # the largest address is (cells*D + 1)^2 * (cells+1) - 1
-                # (29240 at b = 3, cells = 8), far below 2^24.  The
-                # single-bit path keeps the seed's separate integer
-                # index arithmetic, byte for byte.
-                stride = ((cells * programmed.digit_max + 1)
-                          * (cells + 1))
-                w_aug = np.empty((chunks, cells + 2, p * n), np.float32)
-                w_aug[:, :cells] = w32 * np.float32(stride)
-                w_aug[:, cells] = (wc9.transpose(1, 0, 2)
-                                   .reshape(chunks, p * n)
-                                   .astype(np.float32))
+            levels = cells * programmed.digit_max + 1   # S11 or W values
+            stride = levels * (cells + 1)
+            if (programmed.bits_per_cell > 1
+                    and max(1 << cells, levels * stride) <= 2 ** 24):
+                # Multibit pattern decode (:meth:`_decode_patterns`):
+                # each distinct chunk input pattern, augmented with two
+                # constant inputs, gets its whole flat LUT address
+                # ``S11 * stride + wc9 + n_x1`` per (column, plane) out
+                # of one sgemm against this stack.  Columns are ordered
+                # (n, P) so the plane fold reduces the contiguous axis.
+                # Built only where a chunk's pattern table (2**cells
+                # entries) fits the default block budget and every
+                # address (29240 at most for b = 3, cells = 8) is exact
+                # in float32: at most 24 cells per row.  Wider multibit
+                # tiles, like the single-bit ones, take the integer index
+                # arithmetic of :meth:`_decode_nominal`.
+                w_aug = np.empty((chunks, cells + 2, n, p), np.float32)
+                w_aug[:, :cells] = (programmed.w_planes.transpose(1, 2, 3, 0)
+                                    * np.float32(stride))
+                w_aug[:, cells] = wc9.transpose(1, 2, 0)
                 w_aug[:, cells + 1] = 1.0
-                stack["w_aug"] = w_aug
+                stack["w_aug"] = w_aug.reshape(chunks, cells + 2, n * p)
             programmed.cache["fused"] = stack
         return stack
 
@@ -925,6 +939,10 @@ class FusedBitPlaneBackend(ArrayBackend):
                                         np.flatnonzero(active_x), temp_c, f)
 
         stack = self._weight_stack(programmed)
+        if programmed.w_dv is None and "w_aug" in stack:   # multibit
+            return self._decode_patterns(programmed, stack, x_codes,
+                                         np.flatnonzero(active_x), temp_c, f)
+
         # Shift-add weights for the final plane reduction; inactive
         # activation bits are zeroed rather than branched over.
         xw = np.where(active_x, 2.0 ** np.arange(bits_x), 0.0)
@@ -942,9 +960,6 @@ class FusedBitPlaneBackend(ArrayBackend):
             if programmed.w_dv is not None:
                 counts = self._decode_variation(
                     programmed, stack, x32, n_x1, temp_c, f)
-            elif programmed.bits_per_cell > 1:
-                counts = self._decode_nominal_multibit(
-                    programmed, stack, x32, temp_c, f)
             else:
                 counts = self._decode_nominal(
                     programmed, stack, x32, n_x1, temp_c, f)
@@ -1022,34 +1037,74 @@ class FusedBitPlaneBackend(ArrayBackend):
         decoded = lut[idx]
         return decoded.sum(axis=3, dtype=np.int64)
 
-    def _decode_nominal_multibit(self, programmed, stack, x32_block,
-                                 temp_c, retention=None):
-        """Multibit LUT decode with the address folded into the BLAS.
+    def _decode_patterns(self, programmed, stack, x_codes, bits, temp_c,
+                         f):
+        """Multibit nominal decode, once per distinct chunk input pattern.
 
-        The augmented matmul (see ``_weight_stack``) emits the complete
-        flat LUT address ``S11 * stride + W * (cells+1) + n_x1`` per
-        plane pair, so the hot path is one sgemm, one contiguous int
-        cast, one contiguous gather, and one chunk-axis reduction — no
-        strided integer arithmetic over the big intermediate.  Decoded
-        values are identical to :meth:`_decode_nominal` (same LUT, same
-        integer addresses); only the evaluation order of the exact
-        integer sums differs, which float32 cannot observe below 2^24.
+        A nominal chunk's decoded count depends only on its ``cells``
+        input bits, so the (active bit, row) instances driving one chunk
+        share at most ``2**cells`` outcomes.  Per block of chunks this
+        (1) reads every instance's pattern id, (2) keeps each distinct
+        (chunk, pattern) once, (3) runs the folded-address sgemm
+        (``_weight_stack``'s ``w_aug``) and the LUT gather on those
+        only, (4) folds the planes with ``sign * 2**shift`` into a
+        (pattern, column) table and (5) gathers that table back per
+        instance and shift-adds it over bits and chunks.  Every value is
+        an integer below ``2**53``, so the sum is bit-identical to the
+        dense backend in any order.  A block holds at least one chunk;
+        beyond that every intermediate stays within ``block_budget``
+        elements.
         """
-        lut = self.decode_lut(temp_c, retention)
-        bx, mb, chunks, cells = x32_block.shape
+        lut = self.decode_lut(temp_c, f)
+        m, b = x_codes.shape[0], bits.size
+        cells, chunks = programmed.cells, programmed.chunks
         p, n = programmed.n_planes, programmed.n
-        xt = np.ascontiguousarray(
-            x32_block.transpose(2, 0, 1, 3)).reshape(chunks, bx * mb,
-                                                     cells)
-        x_aug = np.empty((chunks, bx * mb, cells + 2), np.float32)
-        x_aug[:, :, :cells] = xt
-        x_aug[:, :, cells] = 1.0
-        x_aug[:, :, cells + 1] = xt.sum(axis=2)
-        idx = np.matmul(x_aug, stack["w_aug"]).astype(stack["idx_dtype"])
-        decoded = lut[idx]                      # (chunks, Bx*Mb, P*n)
-        counts = decoded.reshape(chunks, bx * mb, p, n).sum(
-            axis=0, dtype=np.int64)
-        return counts.reshape(bx, mb, p, n)
+        pw = programmed.signs * 2.0 ** programmed.plane_bits
+        cell_bit = np.int64(1) << np.arange(cells)
+        # Per chunk: one bit plane, the pattern table, the instances'
+        # table rows, and the bits and decodes of at most
+        # min(b * m, 2**cells) distinct patterns.
+        per_chunk = max(m * cells, 1 << cells, b * m * n,
+                        (cells + p * n) * min(b * m, 1 << cells))
+        block = max(1, self.block_budget // per_chunk)
+        result = np.zeros((m, n))
+        for c0 in range(0, chunks, block):
+            c1 = min(c0 + block, chunks)
+            cb = c1 - c0
+            # 1. Pattern id of every (row, chunk, bit): cell e at bit e,
+            #    offset by 2**cells per chunk of the block.
+            xs = x_codes[:, c0 * cells:c1 * cells].reshape(m, cb, cells)
+            keys = np.empty((m, cb, b), np.int64)
+            for j, bit in enumerate(bits):
+                keys[:, :, j] = ((xs >> bit) & 1) @ cell_bit
+            keys += (np.arange(cb, dtype=np.int64) << cells)[:, None]
+            # 2. Each distinct (chunk, pattern) once, in key order.
+            seen = np.zeros(cb << cells, dtype=bool)
+            seen[keys] = True
+            uniq = np.flatnonzero(seen)
+            inverse = (np.cumsum(seen) - 1)[keys]
+            bounds = np.searchsorted(uniq, np.arange(cb + 1) << cells)
+            # 3. Their LUT addresses from the folded sgemm, chunk by chunk.
+            on = (uniq[:, None] >> np.arange(cells)) & 1
+            x_aug = np.empty((uniq.size, cells + 2), np.float32)
+            x_aug[:, :cells] = on
+            x_aug[:, cells] = 1.0
+            x_aug[:, cells + 1] = on.sum(axis=1)
+            idx = np.empty((uniq.size, p * n), np.float32)
+            for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                np.matmul(x_aug[lo:hi], stack["w_aug"][c0 + c],
+                          out=idx[lo:hi])
+            decoded = np.take(lut, idx.astype(stack["idx_dtype"]))
+            # 4. Planes folded into a (pattern, column) table.
+            table = (decoded.astype(np.float64).reshape(-1, p) @ pw
+                     ).reshape(-1, n)
+            # 5. Each instance's table row, shift-added over bits and
+            #    chunks.
+            result += np.einsum(
+                "mkn,k->mn",
+                np.take(table, inverse.reshape(m, cb * b), axis=0),
+                np.tile(np.ldexp(1.0, bits), cb))
+        return result
 
     def _decode_variation(self, programmed, stack, x32_block, n_x1_block,
                           temp_c, retention=None):

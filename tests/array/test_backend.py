@@ -91,16 +91,38 @@ class TestDenseFusedEquivalence:
         assert np.array_equal(a, b)
         assert np.array_equal(a, x @ w)
 
-    def test_fused_row_blocking_is_exact(self, unit):
-        """Tiny block budget (many M-blocks) changes nothing."""
+    @pytest.mark.parametrize("bits_per_cell", [1, 2])
+    def test_fused_row_blocking_is_exact(self, unit, bits_per_cell):
+        """Tiny block budget changes nothing: one-row blocks on the
+        single-bit path, one-chunk blocks on the multibit pattern
+        decode."""
+        unit = BitSerialMacUnit(TwoTOneFeFETCell(), BehavioralMacConfig(
+            bits_x=4, bits_w=4, temp_grid_c=(0.0, 27.0, 85.0),
+            bits_per_cell=bits_per_cell), calibration=unit.calibration())
         fused = FusedBitPlaneBackend(unit)
-        fused.block_budget = 1      # forces one-row blocks
+        fused.block_budget = 1
         dense = DenseNumpyBackend(unit)
         rng = np.random.default_rng(2)
         x, w = _operands(rng, (6, 24, 4))
         assert np.array_equal(
             fused.matmul(fused.program(w), x, temp_c=85.0),
             dense.matmul(dense.program(w), x, temp_c=85.0))
+
+    def test_multibit_rows_too_wide_for_the_pattern_decode(self, unit):
+        """A 32-cell row has 2**32 input patterns, too many to tabulate,
+        so its 2-bit tiles keep the integer-index LUT decode — still
+        bit-exact."""
+        wide = BitSerialMacUnit(TwoTOneFeFETCell(), BehavioralMacConfig(
+            cells_per_row=32, bits_x=4, bits_w=4,
+            temp_grid_c=(0.0, 27.0, 85.0), bits_per_cell=2),
+            calibration=unit.calibration())
+        dense, fused = DenseNumpyBackend(wide), FusedBitPlaneBackend(wide)
+        x, w = _operands(np.random.default_rng(3), (3, 70, 2))
+        pd, pf = dense.program(w), fused.program(w)
+        assert "w_aug" not in fused._weight_stack(pf)
+        for temp in (27.0, 85.0):
+            assert np.array_equal(dense.matmul(pd, x, temp_c=temp),
+                                  fused.matmul(pf, x, temp_c=temp))
 
 
 class TestDecodedVsIdeal:

@@ -1,17 +1,22 @@
 """Property test: every decode path of the fused chip matches the dense
 oracle bit for bit.
 
-Hypothesis draws the model shape, a possibly ragged tiling, bits per
-cell, temperature, retention and variation sigma, which between them
-reach every fused path — the exact GEMM, the nominal LUT decode, the
-certified guard band and the explicit variation decode — and compares
-the fused chip's logits and metering with its dense twin's.
+Hypothesis draws the model shape, cells per row, a possibly ragged
+tiling, bits per cell, temperature, retention and variation sigma, which
+between them reach every fused path — the exact GEMM, the nominal LUT
+decode, the multibit pattern decode, the certified guard band and the
+explicit variation decode — and compares the fused chip's logits and
+metering with its dense twin's.  Two explicit examples serve the
+benchmark's chip (the reduced VGG on 32x16 tiles at 2 bits per cell) 16
+copies of one image off the exact gate, so nearly every pattern-decode
+instance repeats.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.nn import Conv2D, Dense, Flatten, ReLU, Sequential
+from repro.serve import build_serving_workload
 
 PATH_COUNTERS = ("exact_layer_matmuls", "analog_layer_matmuls",
                  "certified_layer_matmuls", "explicit_row_ops")
@@ -32,10 +37,12 @@ def scenarios(draw):
         layers = [Dense(k, hidden, rng=rng), ReLU(),
                   Dense(hidden, outputs, rng=rng)]
         shape = (k,)
+    cells = draw(st.sampled_from([4, 8, 16]))
     mapping = dict(
-        tile_rows=draw(st.sampled_from([None, 8, 16, 24])),
+        cells_per_row=cells,
+        tile_rows=draw(st.none() | st.integers(1, 3).map(cells.__mul__)),
         tile_cols=draw(st.sampled_from([None, 1, 2, 3, 5])),
-        bits_per_cell=draw(st.sampled_from([1, 2])),
+        bits_per_cell=draw(st.sampled_from([1, 2, 3])),
         sigma_vth_fefet=draw(st.sampled_from([0.0, 15e-3, 54e-3, 100e-3])
                              | st.floats(0.0, 0.12)),
         seed=draw(st.integers(0, 2 ** 16)))
@@ -47,7 +54,17 @@ def scenarios(draw):
     return Sequential(layers), mapping, temp, retention, x
 
 
+def benchmark_chip(temp, retention):
+    model, _ = build_serving_workload(0, width=4, image_size=8, seed=0)
+    x = np.repeat(np.random.default_rng(1).normal(size=(1, 8, 8, 3)), 16,
+                  axis=0)
+    mapping = dict(tile_rows=32, tile_cols=16, bits_per_cell=2)
+    return model, mapping, temp, retention, x
+
+
 @given(scenario=scenarios())
+@example(scenario=benchmark_chip(27.0, 0.65))
+@example(scenario=benchmark_chip(85.0, None))
 @settings(max_examples=30, deadline=None)
 def test_fused_chip_matches_dense_oracle(twins, scenario):
     model, mapping, temp, retention, x = scenario

@@ -56,14 +56,22 @@ class TestSession:
 class TestPools:
     @pytest.mark.parametrize("workers", ["threads", "processes"])
     def test_multibit_pool_matches_forward(self, workers):
+        """At the default 27 degC a fresh 2-bit chip serves every layer as
+        the exact GEMM; at 85 degC its decode misreads, so both
+        substrates run the multibit pattern decode."""
         program = build_program(bits_per_cell=2)
         chip = Chip(program, DESIGN)
         xs = requests(6)
         with ChipPool(program, DESIGN, n_replicas=2, max_batch_size=4,
                       workers=workers) as pool:
-            got = [pool.submit(x).result(timeout=30.0).logits for x in xs]
-        for x, logits in zip(xs, got):
-            assert np.array_equal(logits, chip.forward(x))
+            for temp_c in (None, 85.0):
+                got = [pool.submit(x, temp_c=temp_c).result(timeout=30.0)
+                       .logits for x in xs]
+                for x, logits in zip(xs, got):
+                    assert np.array_equal(logits,
+                                          chip.forward(x, temp_c=temp_c))
+        assert chip.backend.exact_decode(27.0)
+        assert not chip.backend.exact_decode(85.0)
 
     @pytest.mark.parametrize("workers", ["threads", "processes"])
     def test_1bit_pool_identical_to_default(self, workers):
