@@ -26,8 +26,17 @@ of every distinct pattern shrinks proportionally.  The 1-bit row of the
 sweep must stay bit-identical to the binary fused baseline (asserted),
 every multibit row must agree dense-vs-fused bitwise, and
 ``--min-mlc-speedup`` gates the 2-bit row's per-batch speedup over the
-single-bit fused kernel.  Results land in ``BENCH_matmul.json`` — the
-repo's matmul perf trajectory.
+single-bit fused kernel.
+
+A variation row programs the same weights at the paper's
+sigma_VTH = 54 mV (its Fig. 9) and times the fused tile, served through
+its certified guard band — the exact tile GEMM plus the uncertified
+entries' corrections, from a per-pattern table where one fits the block
+budget (the smoke shape) and from the per-instance decode otherwise (the
+full shape) — against the dense backend at 27 and 85 degC.  Its outputs
+must be bit-identical (asserted); its times are recorded, not gated.
+Results land in ``BENCH_matmul.json`` — the repo's matmul perf
+trajectory.
 
 Run::
 
@@ -50,6 +59,11 @@ import numpy as np
 
 from repro.array import BehavioralMacConfig, BitSerialMacUnit, make_backend
 from repro.cells import TwoTOneFeFETCell
+
+#: Threshold-voltage variation of the variation row (the paper's Fig. 9)
+#: and the temperatures it is served at.
+VARIATION_SIGMA_V = 54e-3
+VARIATION_TEMPS_C = (27.0, 85.0)
 
 
 def time_batches(fn, batches):
@@ -176,6 +190,41 @@ def run(args):
               f"({per_batch_s['fused'] / timings['fused']:.2f}x vs 1-bit)",
               flush=True)
 
+    # -- variation row: the same weights written with per-cell threshold
+    # variation; the fused backend serves it through the guard band.
+    unit_v = BitSerialMacUnit(TwoTOneFeFETCell(), BehavioralMacConfig(
+        bits_x=args.bits, bits_w=args.bits, temp_grid_c=(0.0, 27.0, 85.0),
+        sigma_vth_fefet=VARIATION_SIGMA_V), calibration=calibration)
+    dense_v, fused_v = make_backend("dense", unit_v), make_backend("fused",
+                                                                   unit_v)
+    programmed_v = dense_v.program(w)   # one die, read by both backends
+    variation = {}
+    variation_ok = True
+    for temp in VARIATION_TEMPS_C:
+        timings, outs_v = {}, {}
+        for name, backend in (("dense", dense_v), ("fused", fused_v)):
+            fn = lambda x: backend.matmul(programmed_v, x, temp_c=temp)
+            fn(warmup)   # certify (and tabulate) off the clock
+            timings[name], outs_v[name] = time_batches(fn, batches)
+        band = fused_v.guard_band(programmed_v, temp)
+        same = all(np.array_equal(outs_v["dense"][i], outs_v["fused"][i])
+                   for i in range(len(batches)))
+        variation_ok &= same
+        variation[f"{temp:g}"] = {
+            "per_batch_s": {k: round(v, 6) for k, v in timings.items()},
+            "speedup_fused_vs_dense": round(
+                timings["dense"] / timings["fused"], 2),
+            "dense_fused_identical": same,
+            "guard_band": band is not None,
+            "uncertified": None if band is None else band.n_uncertified,
+            "entries": None if band is None else int(band.certified.size),
+            "correction_table": band is not None and band.table is not None,
+        }
+        print(f"sigma {VARIATION_SIGMA_V * 1e3:.0f} mV, {temp:g} degC: "
+              f"{timings['fused'] * 1e3:9.1f} ms/batch fused, "
+              f"{timings['dense'] * 1e3:9.1f} ms/batch dense, "
+              f"identical: {same}", flush=True)
+
     doc = {
         "workload": {
             "rows": args.rows, "k": args.k, "cols": args.cols,
@@ -190,6 +239,8 @@ def run(args):
         "outputs_bit_identical": identical,
         "fused_exact_at_reference": exact_vs_ideal,
         "mlc": mlc,
+        "variation": {"sigma_vth_fefet": VARIATION_SIGMA_V,
+                      "temps": variation},
     }
     out_path = Path(args.out)
     out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -204,6 +255,10 @@ def run(args):
     if not mlc_identity_ok:
         print("ERROR: MLC sweep broke bit-identity (dense vs fused, or "
               "1-bit vs binary baseline)", file=sys.stderr)
+        return 1
+    if not variation_ok:
+        print("ERROR: variation row broke bit-identity (dense vs fused "
+              "guard band)", file=sys.stderr)
         return 1
     if args.min_speedup and speedup["fused_vs_dense"] < args.min_speedup:
         print(f"ERROR: fused_vs_dense {speedup['fused_vs_dense']:.2f}x "

@@ -42,8 +42,10 @@ implementations ship:
     variation serve through a *certified guard band* where the nominal
     decode is exact: every (plane, chunk, column) entry whose worst-case
     variation offset stays inside its nominal decode margin provably
-    decodes its exact count, so those entries run as one float64 GEMM
-    and only the rest are decoded explicitly.
+    decodes its exact count, so the tile runs as one float64 GEMM of its
+    weight codes plus integer corrections of only the other entries —
+    read from a per-input-pattern table at undrifted keys, decoded
+    explicitly per instance otherwise.
 
 Both backends share :meth:`ArrayBackend.program`, so identical RNGs yield
 identical per-cell variation draws — the foundation of the dense-vs-fused
@@ -280,6 +282,51 @@ class DecodeRecord:
 
 
 @dataclass(eq=False)
+class CorrectionTable:
+    """Per-pattern corrections of a guard band's uncertified entries.
+
+    With fixed thresholds and a frozen variation draw, an entry's decoded
+    count depends only on the ``cells`` input bits of its chunk, so the
+    correction ``sum_planes sign * 2**shift * (decode - S11)`` of one
+    (column, chunk) pair is a function of a ``2**cells`` pattern id.
+    ``values`` holds it per pair and pattern (pairs that never correct
+    are dropped).  ``rows`` lists the tile rows those pairs read — the
+    cells of their chunks, less the zero padding of a ragged last chunk —
+    and ``pick`` maps their activation bits to every pair's pattern id
+    (``2**e`` at cell ``e`` of the pair's chunk), offset into ``values``
+    by ``offsets``.  Pairs are ordered by column.
+    """
+
+    values: np.ndarray        # (pairs * 2**cells,) float64, pair-major
+    rows: np.ndarray          # (r,) tile rows the pairs read
+    pick: np.ndarray          # (r, pairs) float64
+    offsets: np.ndarray       # (pairs,) float64 first value of each pair
+    starts: np.ndarray        # first pair of each column group
+    cols: np.ndarray          # column of each group
+
+    def corrections(self, x_codes, bits):
+        """``(M, cols.size)`` corrections of activation codes ``x_codes``
+        (the tile's ``k`` columns, optionally zero-padded to whole chunks)
+        over the active ``bits`` (ascending): a pattern-id GEMM, one
+        gather, a shift-sum over the bits and a per-column ``reduceat``.
+        Every value is an integer below ``2**53``, so each step is
+        exact."""
+        m = x_codes.shape[0]
+        if not (m and bits.size and self.cols.size):
+            return np.zeros((m, self.cols.size))
+        # Narrow codes shift several times faster; every bit below 16
+        # survives the cast.
+        dtype = np.uint16 if bits[-1] < 16 else np.int64
+        codes = x_codes[:, self.rows].astype(dtype)
+        planes = (codes[None] >> bits.astype(dtype)[:, None, None]) & 1
+        ids = planes.reshape(bits.size * m, -1).astype(np.float64) @ self.pick
+        ids += self.offsets
+        fixes = np.take(self.values, ids.astype(np.intp))
+        fixes = np.ldexp(1.0, bits) @ fixes.reshape(bits.size, -1)
+        return np.add.reduceat(fixes.reshape(m, -1), self.starts, axis=1)
+
+
+@dataclass(eq=False)
 class GuardBand:
     """Certified guard band of one tile with variation at one key.
 
@@ -287,15 +334,17 @@ class GuardBand:
     variation offsets, ``gain * sum(max(f * w_dv, 0))`` upward and
     ``gain * sum(max(-f * w_dv, 0))`` downward over its cells, fall
     strictly below the entry's nominal margin at its digit sum: then it
-    decodes ``S11`` whatever the activations.  ``w_cert`` holds the
-    tile's signed weight codes with uncertified entries zeroed (so
-    ``x_codes @ w_cert`` is the certified entries' exact contribution);
-    the remaining arrays describe the uncertified entries, ordered by
-    column, for the explicit decode.
+    decodes ``S11`` whatever the activations, and the tile's exact product
+    ``x_codes @ W_tile`` already holds its contribution.  The uncertified
+    entries only add integer *corrections* (decoded minus exact count) to
+    that product.  The arrays below describe them, ordered by column, for
+    the explicit per-instance decode; ``table`` holds the same corrections
+    per input pattern where the band was built for an undrifted key and
+    the table fits the variation block budget (``None`` otherwise).  A
+    band is never modified once built.
     """
 
     certified: np.ndarray     # (P, chunks, n) bool
-    w_cert: np.ndarray        # (chunks * cells, n) float64
     chunk: np.ndarray         # (u,) chunk of each uncertified entry
     digits: np.ndarray        # (u, cells) float64 stored digits
     dv: np.ndarray            # (u, cells) retention-scaled offsets
@@ -303,6 +352,7 @@ class GuardBand:
     scale: np.ndarray         # (u,) int64 sign * 2**shift of the plane
     starts: np.ndarray        # first entry of each column group
     cols: np.ndarray          # column of each group
+    table: Optional[CorrectionTable] = None
 
     @property
     def n_uncertified(self):
@@ -628,10 +678,16 @@ class FusedBitPlaneBackend(ArrayBackend):
 
     Arrays with programmed-in variation carry a continuous offset, so the
     LUT shortcut does not apply.  Where the nominal decode is exact, the
-    certified guard band (:meth:`guard_band`) serves the entries whose
-    worst-case offset stays inside their nominal margin as one GEMM;
-    elsewhere, and for the uncertified entries, the fused path assembles
-    voltages explicitly, matching the dense expression
+    certified guard band (:meth:`guard_band`) serves the tile as the
+    exact GEMM of its weight codes plus :meth:`corrections` of the
+    entries whose worst-case offset can leave their nominal margin.  At
+    an undrifted key those come from a per-pattern
+    :class:`CorrectionTable` built once with the band (the second fact
+    again: with the variation draw frozen, an entry's decode depends only
+    on its chunk's input pattern); at drifted keys and on tiles too wide
+    to tabulate, from an explicit per-instance decode.  Where the gate
+    fails, the fused path assembles every voltage explicitly.  Every
+    explicit voltage matches the dense expression
     operation-for-operation.
 
     Work is blocked over activation rows (over chunks on the multibit
@@ -644,7 +700,9 @@ class FusedBitPlaneBackend(ArrayBackend):
     #: Max elements of the (bits_x, M_block, P, chunks, n) intermediate
     #: (of each per-block intermediate on the pattern decode).
     #: The variation path materializes several float64 tensors of that
-    #: shape at once, so it gets a proportionally smaller budget.
+    #: shape at once, so it gets a proportionally smaller budget, which
+    #: also bounds a guard band's correction-table build (``2**cells``
+    #: patterns times the uncertified entries' cells).
     block_budget = 16 * 2 ** 20
     block_budget_variation = 4 * 2 ** 20
     #: Drifted ``(temp_c, retention)`` keys kept cached.  A drifting chip
@@ -797,15 +855,24 @@ class FusedBitPlaneBackend(ArrayBackend):
         with self._lock:
             band = record.guard_bands.get(programmed)
         if band is None:
-            band = self._certify(programmed, record.margin, f)
+            band = self._certify(programmed, record.margin, temp_c, f)
             with self._lock:
                 band = record.guard_bands.setdefault(programmed, band)
         return band
 
-    def _certify(self, programmed, margin, f):
+    def _certify(self, programmed, margin, temp_c, f):
         """Build the :class:`GuardBand` of ``programmed`` against the
-        per-``W`` nominal ``margin`` at retention fraction ``f``."""
-        cells, n = programmed.cells, programmed.n
+        per-``W`` nominal ``margin`` at ``temp_c`` and retention fraction
+        ``f``.
+
+        An undrifted key (``f is None``) is reused by every later batch
+        at its temperature, so its band also gets the per-pattern
+        :class:`CorrectionTable` when the build (``2**cells`` patterns
+        times the uncertified entries' cells) fits
+        ``block_budget_variation``.  A drifted key lives for about one
+        batch, which would not repay the build.
+        """
+        cells = programmed.cells
         gain = self.unit.config.sensing.share_gain(cells)
         # The same retention scaling the explicit decode applies.
         dv = (programmed.w_dv if f is None else f * programmed.w_dv)
@@ -814,17 +881,11 @@ class FusedBitPlaneBackend(ArrayBackend):
         fall = gain * np.maximum(-dv, 0.0).sum(axis=2)
         certified = (rise < margin[0][w_sum]) & (fall < margin[1][w_sum])
 
-        # Integers times powers of two: exact in any summation order.
-        pw = programmed.signs * 2.0 ** programmed.plane_bits
-        w_cert = np.tensordot(
-            pw, programmed.w_planes * certified[:, :, None, :],
-            axes=(0, 0)).reshape(programmed.chunks * cells, n)
-
         # Uncertified entries in column order, grouped per column.
         col, plane, chunk = np.nonzero(~certified.transpose(2, 0, 1))
         starts = np.flatnonzero(np.diff(col, prepend=-1))
-        return GuardBand(
-            certified=certified, w_cert=w_cert, chunk=chunk,
+        band = GuardBand(
+            certified=certified, chunk=chunk,
             digits=np.ascontiguousarray(
                 programmed.w_planes[plane, chunk, :, col]),
             dv=np.ascontiguousarray(dv[plane, chunk, :, col]),
@@ -832,6 +893,55 @@ class FusedBitPlaneBackend(ArrayBackend):
             scale=(programmed.signs[plane].astype(np.int64)
                    << programmed.plane_bits[plane]),
             starts=starts, cols=col[starts])
+        if (f is None and (band.n_uncertified * cells << cells)
+                <= self.block_budget_variation):
+            band.table = self._correction_table(programmed, band, col,
+                                                temp_c)
+        return band
+
+    def _correction_table(self, programmed, band, col, temp_c):
+        """The :class:`CorrectionTable` of an undrifted ``band``.
+
+        Runs :meth:`_decode_uncertified`'s float expressions — the
+        nominal voltage, then the variation offset summed in the tile's
+        column order (:func:`_cell_offsets`) — on every input pattern of
+        every uncertified entry, so each table value is bitwise the
+        per-instance decode's.  Entries fold per (column, chunk) pair.
+        """
+        cells, chunks = programmed.cells, programmed.chunks
+        gain = self.unit.config.sensing.share_gain(cells)
+        patterns = (np.arange(1 << cells)[:, None] >> np.arange(cells)) & 1
+        xb = np.repeat(patterns[:, None, :], band.n_uncertified,
+                       axis=1).astype(np.float64)          # (2**cells, u, e)
+        n11 = np.einsum("qie,ie->qi", xb, band.digits)
+        vacc = self._nominal_vacc(n11, band.w_sum, xb.sum(axis=2), temp_c,
+                                  None)
+        vacc = vacc + gain * _cell_offsets(xb, band.dv, programmed.n)
+        fixes = ((self.unit.sensor.decode(vacc) - n11.astype(np.int64))
+                 * band.scale)                             # (2**cells, u)
+
+        # Fold the planes per (column, chunk) pair, in column order, and
+        # drop the pairs that never correct.
+        pairs, entry_pair = np.unique(col * chunks + band.chunk,
+                                      return_inverse=True)
+        values = np.zeros((pairs.size, 1 << cells), dtype=np.int64)
+        np.add.at(values, entry_pair, fixes.T)
+        keep = values.any(axis=1)
+        values, pairs = values[keep], pairs[keep]
+        pair_col, pair_chunk = np.divmod(pairs, chunks)
+        pick = np.zeros((chunks, cells, pairs.size))
+        pick[pair_chunk, :, np.arange(pairs.size)] = np.ldexp(
+            1.0, np.arange(cells))
+        pick = pick.reshape(chunks * cells, pairs.size)
+        # Padding cells always read zero: no row, no pattern bit.
+        rows = np.flatnonzero(pick.any(axis=1))
+        rows = rows[rows < programmed.k]
+        starts = np.flatnonzero(np.diff(pair_col, prepend=-1))
+        return CorrectionTable(
+            values=values.astype(np.float64).ravel(), rows=rows,
+            pick=pick[rows],
+            offsets=np.arange(pairs.size, dtype=np.float64) * (1 << cells),
+            starts=starts, cols=pair_col[starts])
 
     # -- fused plane stacks ----------------------------------------------
     @staticmethod
@@ -935,8 +1045,21 @@ class FusedBitPlaneBackend(ArrayBackend):
             return result
         band = self.guard_band(programmed, temp_c, f)
         if band is not None:
-            return self._guarded_matmul(programmed, band, x_codes,
-                                        np.flatnonzero(active_x), temp_c, f)
+            # A certified entry decodes ``S11`` for every activation bit,
+            # so the active bits' shift-add is the exact product plus the
+            # uncertified entries' corrections.  Every term is an integer
+            # below ``2**53``: bit-identical to the dense backend.
+            bits = np.flatnonzero(active_x)
+            mask = int(np.sum(np.left_shift(1, bits)))
+            result = ((x_codes & mask).astype(np.float64)
+                      @ self._tile_weights(programmed))
+            if band.n_uncertified:
+                cols, fixes = self.corrections(programmed, band, x_codes,
+                                               bits, temp_c=temp_c,
+                                               retention=f)
+                result[:, cols] += fixes
+            result += 0.0   # BLAS may emit -0.0; the dense loop sums +0.0
+            return result
 
         stack = self._weight_stack(programmed)
         if programmed.w_dv is None and "w_aug" in stack:   # multibit
@@ -967,39 +1090,63 @@ class FusedBitPlaneBackend(ArrayBackend):
             result[m0:m1] = np.tensordot(scale, counts, axes=([0, 1], [0, 2]))
         return result
 
-    def _guarded_matmul(self, programmed, band, x_codes, bits, temp_c, f):
-        """Matmul under a certified guard band: one GEMM plus an explicit
-        decode of the uncertified entries only.
+    def _tile_weights(self, programmed):
+        """The tile's signed weight codes as float64 ``(chunks * cells,
+        n)``: its planes shift-added back, cached beside the plane stack
+        (replicas share it — only their variation draws differ)."""
+        weights = programmed.cache.get("weights")
+        if weights is None:
+            # Integers times powers of two: exact in any summation order.
+            pw = programmed.signs * 2.0 ** programmed.plane_bits
+            weights = np.tensordot(pw, programmed.w_planes, axes=(0, 0))
+            weights = weights.reshape(programmed.chunks * programmed.cells,
+                                      programmed.n)
+            programmed.cache["weights"] = weights
+        return weights
 
-        A certified entry decodes ``S11`` for every activation bit, so the
-        active bits' shift-add over it is ``x @ w_cert``.  Every term, on
-        either side, is an integer times a power of two below ``2**53``,
-        so the sum is bit-identical to the dense backend in any order.
+    def corrections(self, programmed, band, x_codes, bits, *, temp_c,
+                    retention=None):
+        """What a guard band's uncertified entries add to the exact product.
+
+        ``x_codes`` are the tile's activation codes (its ``k`` columns,
+        optionally zero-padded to whole chunks), already validated, and
+        ``bits`` the active activation bits (``np.flatnonzero`` of the
+        schedule).  Returns ``(cols, fixes)``: the integer corrections
+        ``sum sign * 2**shift * 2**bit * (decode - S11)``, float64
+        ``(M, cols.size)``, to add at tile columns ``cols`` of
+        ``x_codes @ W_tile``.  They come from the band's
+        :class:`CorrectionTable` where it has one, else from the explicit
+        per-instance decode (:meth:`_decode_uncertified`).  The chip and
+        :meth:`matmul` both serve guard bands through this one routine.
         """
-        mask = int(np.sum(np.left_shift(1, bits)))
-        result = (x_codes & mask).astype(np.float64) @ band.w_cert
-        if band.n_uncertified:
-            result[:, band.cols] += self._decode_uncertified(
-                programmed, band, x_codes, bits, temp_c, f)
-        result += 0.0   # BLAS may emit -0.0; the dense loop sums into +0.0
-        return result
+        if band.table is not None:
+            return band.table.cols, band.table.corrections(x_codes, bits)
+        if not (band.n_uncertified and bits.size):
+            return band.cols, np.zeros((x_codes.shape[0], band.cols.size))
+        k_pad = programmed.chunks * programmed.cells
+        if x_codes.shape[1] != k_pad:
+            x_codes = np.pad(x_codes, ((0, 0), (0, k_pad - x_codes.shape[1])))
+        return band.cols, self._decode_uncertified(
+            programmed, band, x_codes, bits, temp_c,
+            retention_fraction(retention))
 
     def _decode_uncertified(self, programmed, band, x_codes, bits, temp_c,
                             f):
         """Explicit decode of a guard band's uncertified entries.
 
-        Gathers each entry's chunk of activation bits and evaluates the
-        dense backend's float expressions on it — the nominal voltage
-        (:meth:`_nominal_vacc`), then the variation offset summed over the
-        cells in the dense ``einsum``'s order (:func:`_cell_offsets`) —
-        and returns the shift-added counts per column group,
-        ``(M, len(band.cols))`` int64.
+        Gathers each entry's chunk of activation bits (``x_codes`` padded
+        to whole chunks) and evaluates the dense backend's float
+        expressions on it — the nominal voltage (:meth:`_nominal_vacc`),
+        then the variation offset summed over the cells in the dense
+        ``einsum``'s order (:func:`_cell_offsets`) — and returns the
+        shift-added corrections ``decode - S11`` per column group,
+        ``(M, len(band.cols))`` float64.
         """
         cells, chunks = programmed.cells, programmed.chunks
         gain = self.unit.config.sensing.share_gain(cells)
         m, u = x_codes.shape[0], band.n_uncertified
         shifts = bits[:, None, None, None]
-        out = np.empty((m, band.cols.size), dtype=np.int64)
+        out = np.empty((m, band.cols.size))
         block = max(1, int(self.block_budget_variation
                            // (bits.size * u * cells)))
         for m0 in range(0, m, block):
@@ -1010,8 +1157,8 @@ class FusedBitPlaneBackend(ArrayBackend):
             n_x1 = xb.sum(axis=3)
             vacc = self._nominal_vacc(n11, band.w_sum, n_x1, temp_c, f)
             vacc = vacc + gain * _cell_offsets(xb, band.dv, programmed.n)
-            counts = self.unit.sensor.decode(vacc)      # (B, Mb, u)
-            shifted = (counts << bits[:, None, None]).sum(axis=0)
+            fixes = self.unit.sensor.decode(vacc) - n11.astype(np.int64)
+            shifted = (fixes << bits[:, None, None]).sum(axis=0)
             out[m0:m1] = np.add.reduceat(shifted * band.scale, band.starts,
                                          axis=1)
         return out

@@ -32,17 +32,19 @@ the same matrix programmed onto one spanning array — so any chunk-aligned
 tiling is bit-identical to the legacy single-array path (enforced by
 ``tests/compiler/test_tiling.py``).
 
-Exact-decode fast path: when no tile carries programmed-in variation and
-the backend proves its decode is the identity at the read's temperature
-and retention (:meth:`~repro.array.backend.ArrayBackend.exact_decode`),
-the whole tile loop equals one integer product, and the chip serves the
-layer as one float64 GEMM — bit-identical, and metered exactly like the
-tile loop (``tests/compiler/test_exact_decode.py``).  Tiles with
-variation stay on the tile loop, where the backend may serve them
-through a certified guard band
-(:meth:`~repro.array.backend.ArrayBackend.guard_band`); the meter counts
-how many layer matmuls did and how many row ops were still decoded
-explicitly.
+Exact-decode fast path: when the backend proves its nominal decode is
+the identity at the read's temperature and retention
+(:meth:`~repro.array.backend.ArrayBackend.exact_decode`), a
+variation-free layer's tile loop equals one integer product, and the
+chip serves the layer as one float64 GEMM — bit-identical, and metered
+exactly like the tile loop (``tests/compiler/test_exact_decode.py``).
+A layer whose tiles carry programmed-in variation takes the same GEMM
+plus, per tile, the integer corrections of the entries its certified
+guard band (:meth:`~repro.array.backend.ArrayBackend.guard_band`)
+leaves uncertified (``tests/compiler/test_guard_band.py``); the meter
+counts how many layer matmuls ran a guard band and how many row ops were
+still decoded explicitly.  Where the gate fails, every tile runs the
+backend's analog decode.
 
 Timing/energy model: weight planes, chunks, and tiles are spatially
 parallel (each row has its own ADC and accumulation capacitor);
@@ -132,12 +134,14 @@ class ChipMeter:
             self.row_ops = 0
             self.bit_cycles = 0
             self.matmuls = 0
-            #: Layer matmuls the chip served as one exact GEMM / through
-            #: the backend's analog decode (see :meth:`Chip.matmul_codes`).
+            #: Variation-free layer matmuls the chip served as one exact
+            #: GEMM / every other layer matmul (see
+            #: :meth:`Chip.matmul_codes`).
             self.exact_layer_matmuls = 0
             self.analog_layer_matmuls = 0
             #: The analog layer matmuls whose tiles all ran a certified
-            #: guard band, and the row ops still decoded explicitly.
+            #: guard band (served as the layer GEMM plus corrections), and
+            #: the row ops of entries no band certified.
             self.certified_layer_matmuls = 0
             self.explicit_row_ops = 0
             self.writes = 0
@@ -150,8 +154,9 @@ class ChipMeter:
         """Account one tile matmul of ``rows`` activation rows.
 
         ``explicit_entries`` of the tile's ``n_planes * chunks * cols``
-        (plane, chunk, column) entries were decoded explicitly (variation
-        not covered by a guard band); it prices nothing.
+        (plane, chunk, column) entries carry variation no guard band
+        certified, so their counts come from a decode rather than the
+        exact product; it prices nothing.
         """
         ops = rows * active_bits * n_planes * chunks * cols
         with self._lock:
@@ -167,9 +172,9 @@ class ChipMeter:
         """Account the serial schedule of one *layer* matmul (all tiles of
         a layer fire in parallel, so cycles accrue once per layer).
 
-        ``exact`` says which simulator path computed it — the exact GEMM
-        or the analog decode — and ``certified`` that every tile of an
-        analog one ran a guard band; the modeled cycles are the same.
+        ``exact`` marks a variation-free layer the simulator computed as
+        the exact GEMM, and ``certified`` an analog one whose tiles all
+        ran a guard band; the modeled cycles are the same.
         """
         with self._lock:
             self.bit_cycles += rows * active_bits
@@ -494,23 +499,20 @@ class Chip:
     # tiled matmul with partial-sum accumulation
     # ------------------------------------------------------------------
     def _exact_weights(self, plan, temp_c, retention):
-        """The layer's signed weight codes as float64 ``(K, N)`` when one
-        GEMM reproduces the tiled bit-serial matmul exactly, else ``None``.
+        """The layer's signed weight codes as float64 ``(K, N)`` when the
+        backend proves its nominal decode LUT is the identity at
+        ``(temp_c, retention)`` (:meth:`~repro.array.backend.\
+ArrayBackend.exact_decode`), else ``None``.
 
-        That holds when no tile carries programmed-in variation and the
-        backend proves its decode LUT is the identity at ``(temp_c,
-        retention)`` (:meth:`~repro.array.backend.ArrayBackend.\
-exact_decode`).  Then every chunk decodes its exact count ``n11``, the
+        Then every nominal chunk decodes its exact count ``n11``, the
         layer-pinned plane schedule shift-adds the planes back to
         ``w_codes``, and the active-bit mask drops only bits absent from
-        every activation code — so the tiled result is ``x_codes @
-        w_codes``.  Its partial sums are integers below ``2**53``, which
-        float64 BLAS adds exactly in any order.
+        every activation code — so a variation-free layer's tiled result
+        is ``x_codes @ w_codes``, and a layer with variation differs from
+        it only by its guard bands' corrections.  Its partial sums are
+        integers below ``2**53``, which float64 BLAS adds exactly in any
+        order.
         """
-        if any(self._programmed[(t.layer_index, t.row_block,
-                                 t.col_block)].w_dv is not None
-               for t in plan.tiles):
-            return None
         if not self.backend.exact_decode(temp_c, retention):
             return None
         weights = self._layer_weights.get(plan.index)
@@ -531,12 +533,17 @@ exact_decode`).  Then every chunk decodes its exact count ``n11``, the
         count is an exact small integer times a power of two, so the
         accumulation order cannot introduce float error.
 
-        When the decode provably makes no errors (:meth:`_exact_weights`)
-        the layer runs as one float64 GEMM instead, bit-identical to the
-        tile loop.  The meter books the same row ops and cycles either
-        way; only the decode-path counters (``exact_layer_matmuls``,
-        ``analog_layer_matmuls``, ``certified_layer_matmuls`` and
-        ``explicit_row_ops``) tell the paths apart.
+        When the nominal decode provably makes no errors
+        (:meth:`_exact_weights`) the layer runs as one float64 GEMM
+        instead, plus each variation tile's guard-band corrections
+        (:meth:`~repro.array.backend.FusedBitPlaneBackend.corrections`)
+        at its columns — bit-identical to the tile loop.  The meter books
+        the same row ops and cycles either way; only the decode-path
+        counters tell the paths apart: ``exact_layer_matmuls`` counts
+        variation-free layers on the GEMM, ``analog_layer_matmuls`` the
+        rest, ``certified_layer_matmuls`` those whose tiles all ran a
+        guard band and ``explicit_row_ops`` the row ops of entries no
+        band certified.
         """
         x_codes = np.asarray(x_codes, dtype=np.int64)
         if x_codes.ndim != 2 or x_codes.shape[1] != plan.k:
@@ -559,27 +566,44 @@ exact_decode`).  Then every chunk decodes its exact count ``n11``, the
         # back to the literal undrifted code path.
         retention = None if self.drift is None else self.drift.retention()
         weights = self._exact_weights(plan, temp_c, retention)
-        # Per tile of an analog layer: the entries its matmul decodes
-        # explicitly — those a guard band leaves uncertified, every entry
-        # of a variation tile without one, none on a nominal tile.
-        explicit, certified = {}, weights is None
-        if weights is None:
-            for tile in plan.tiles:
-                key = (tile.layer_index, tile.row_block, tile.col_block)
-                programmed = self._programmed[key]
-                band = self.backend.guard_band(programmed, temp_c,
-                                               retention)
-                certified &= band is not None
-                explicit[key] = (
-                    band.n_uncertified if band is not None
-                    else 0 if programmed.w_dv is None
-                    else (programmed.n_planes * programmed.chunks
-                          * programmed.n))
+        # Per variation tile: its certified guard band (``None`` where the
+        # backend runs none).  Per tile: the entries its matmul decodes
+        # explicitly — those a band leaves uncertified, every entry of a
+        # variation tile without one, none on a nominal tile.
+        bands, explicit = {}, {}
+        for tile in plan.tiles:
+            key = (tile.layer_index, tile.row_block, tile.col_block)
+            programmed = self._programmed[key]
+            explicit[key] = 0
+            if programmed.w_dv is not None:
+                band = bands[key] = self.backend.guard_band(
+                    programmed, temp_c, retention)
+                explicit[key] = (band.n_uncertified if band is not None
+                                 else (programmed.n_planes * programmed.chunks
+                                       * programmed.n))
+        certified = (len(bands) == len(plan.tiles)
+                     and None not in bands.values())
+        # Where the gate holds, the fused backend certifies every variation
+        # tile against the same exact record; a variation tile without a
+        # band keeps the layer on the tile loop.
+        if bands and not certified:
+            weights = None
         self.meter.record_cycles(rows=m, active_bits=n_active,
-                                 exact=weights is not None,
+                                 exact=weights is not None and not bands,
                                  certified=certified)
         if weights is not None:
             out = x_codes.astype(np.float64) @ weights
+            if bands and m and n_active:
+                bits = np.flatnonzero(active)
+                for tile in plan.tiles:
+                    key = (tile.layer_index, tile.row_block, tile.col_block)
+                    band = bands[key]
+                    if band.n_uncertified:
+                        cols, fixes = self.backend.corrections(
+                            self._programmed[key], band,
+                            x_codes[:, tile.k0:tile.k1], bits,
+                            temp_c=temp_c, retention=retention)
+                        out[:, tile.n0 + cols] += fixes
             out += 0.0   # BLAS may emit -0.0; the tile loop sums into +0.0
         else:
             out = np.zeros((m, plan.n))
@@ -597,7 +621,7 @@ exact_decode`).  Then every chunk decodes its exact count ``n11``, the
                     key, rows=m, active_bits=n_active,
                     n_planes=programmed.n_planes,
                     chunks=programmed.chunks, cols=programmed.n,
-                    explicit_entries=explicit.get(key, 0))
+                    explicit_entries=explicit[key])
         return out
 
     @staticmethod

@@ -97,16 +97,15 @@ from repro.serve.batching import (
     settle_batch,
 )
 
-_TOTALS_KEYS = ("requests", "images", "batches", "batch_images",
-                "queue_s", "busy_s", "energy_j", "latency_s")
+_COUNT_KEYS = ("requests", "images", "batches", "batch_images",
+               "failed_requests", "failed_batches")
+_TOTALS_KEYS = _COUNT_KEYS + ("queue_s", "busy_s", "energy_j", "latency_s")
 
 WORKER_MODES = ("threads", "processes")
 
 
 def _fresh_totals():
-    return {key: 0 if key in ("requests", "images", "batches",
-                              "batch_images") else 0.0
-            for key in _TOTALS_KEYS}
+    return {key: 0 if key in _COUNT_KEYS else 0.0 for key in _TOTALS_KEYS}
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,10 @@ class PoolStats:
 
     ``replicas`` is one JSON-safe dict per replica (throughput, queue
     depth, steals, drain state, modeled energy/latency).  ``totals`` is
-    the fleet sum — what the *simulator* did; its
+    the fleet sum — what the *simulator* did: ``requests``, ``images``
+    and ``batches`` count served work, ``failed_requests`` and
+    ``failed_batches`` the batches that failed and every request they
+    carried (per replica too); its
     ``throughput_img_per_s`` divides fleet images by the **summed**
     per-replica busy time, i.e. the serial-equivalent rate, a
     conservative lower bound that ignores whatever thread parallelism
@@ -305,6 +307,8 @@ def _pool_stats(per_replica, tops_per_watt) -> PoolStats:
         "requests": fleet["requests"],
         "images": images,
         "batches": fleet["batches"],
+        "failed_requests": fleet["failed_requests"],
+        "failed_batches": fleet["failed_batches"],
         "mean_queue_s": fleet["queue_s"] / max(fleet["requests"], 1),
         "busy_s": busy,
         "throughput_img_per_s": images / busy if busy > 0 else 0.0,
@@ -649,8 +653,12 @@ class ChipPool:
             with self._cond:
                 if stolen:
                     worker.steals += 1
-                if not report.failed:
-                    totals = worker.totals
+                totals = worker.totals
+                if report.failed:
+                    # Every request of a failed batch fails with it.
+                    totals["failed_requests"] += report.requests
+                    totals["failed_batches"] += 1
+                else:
                     totals["requests"] += report.requests
                     totals["images"] += report.images
                     totals["queue_s"] += report.queue_s

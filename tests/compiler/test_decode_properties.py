@@ -6,10 +6,12 @@ tiling, bits per cell, temperature, retention and variation sigma, which
 between them reach every fused path — the exact GEMM, the nominal LUT
 decode, the multibit pattern decode, the certified guard band and the
 explicit variation decode — and compares the fused chip's logits and
-metering with its dense twin's.  Two explicit examples serve the
-benchmark's chip (the reduced VGG on 32x16 tiles at 2 bits per cell) 16
-copies of one image off the exact gate, so nearly every pattern-decode
-instance repeats.
+metering with its dense twin's.  Explicit examples serve the
+benchmark's chips, the reduced VGG on 32x16 tiles: at 2 bits per cell,
+16 copies of one image off the exact gate, so nearly every
+pattern-decode instance repeats; at sigma = 54 mV, 16 distinct images at
+27 and 85 degC, which run every layer as one GEMM plus the guard bands'
+per-pattern correction tables.
 """
 
 import numpy as np
@@ -62,9 +64,18 @@ def benchmark_chip(temp, retention):
     return model, mapping, temp, retention, x
 
 
+def variation_chip(temp):
+    model, _ = build_serving_workload(0, width=4, image_size=8, seed=0)
+    x = np.random.default_rng(2).normal(size=(16, 8, 8, 3))
+    mapping = dict(tile_rows=32, tile_cols=16, sigma_vth_fefet=54e-3)
+    return model, mapping, temp, None, x
+
+
 @given(scenario=scenarios())
 @example(scenario=benchmark_chip(27.0, 0.65))
 @example(scenario=benchmark_chip(85.0, None))
+@example(scenario=variation_chip(27.0))
+@example(scenario=variation_chip(85.0))
 @settings(max_examples=30, deadline=None)
 def test_fused_chip_matches_dense_oracle(twins, scenario):
     model, mapping, temp, retention, x = scenario

@@ -1,15 +1,20 @@
 """The certified guard band: arrays with variation served as one exact
-GEMM plus an explicit decode of only the entries that can misread.
+GEMM plus integer corrections of only the entries that can misread.
 
 A (plane, chunk, column) entry is certified when its worst-case
 variation offset stays strictly inside its nominal decode margin, and
-the band runs only where the nominal decode is exact.  These tests pin
-where it runs and how much it certifies, and check that the fused chip's
-logits and metering stay bit-identical to the dense chip's (which decodes
-every entry explicitly) on both sides of the gate, across tilings,
-replicas and a bounded cache of drifted keys.
+the band runs only where the nominal decode is exact.  There the chip
+serves a variation layer as one layer GEMM plus each band's corrections,
+taken from a per-pattern table at undrifted keys and from the explicit
+per-instance decode at drifted keys and on tiles too wide to tabulate.
+These tests pin where the band runs, how much it certifies and which
+correction source serves it, and check that the fused chip's logits and
+metering stay bit-identical to the dense chip's (which decodes every
+entry explicitly) on both sides of the gate, across tilings, replicas
+and a bounded cache of drifted keys.
 """
 
+import dataclasses
 import sys
 import threading
 
@@ -19,6 +24,7 @@ import pytest
 from repro.array import FusedBitPlaneBackend
 from repro.compiler import Chip
 from repro.nn import Conv2D, Dense, Flatten, ReLU, Sequential
+from repro.serve import build_serving_workload
 
 TEMPS = (0.0, 27.0, 55.0, 85.0)
 SIGMAS = (15e-3, 54e-3, 100e-3)
@@ -77,12 +83,45 @@ def assert_twins_agree(fused, dense, x, temp_c, banded):
         assert got["explicit_row_ops"] == got["row_ops"]
 
 
+@pytest.fixture
+def spy(monkeypatch):
+    """Counts the fused backend's tile matmuls and records, per layer
+    matmul of a fused chip, whether it took the layer GEMM."""
+    calls = {"tile_matmuls": 0, "layer_gemm": []}
+    tile_matmul = FusedBitPlaneBackend.matmul
+    exact_weights = Chip._exact_weights
+
+    def matmul(self, *args, **kwargs):
+        calls["tile_matmuls"] += 1
+        return tile_matmul(self, *args, **kwargs)
+
+    def weights(self, plan, temp_c, retention):
+        layer = exact_weights(self, plan, temp_c, retention)
+        if isinstance(self.backend, FusedBitPlaneBackend):
+            calls["layer_gemm"].append(layer is not None)
+        return layer
+
+    monkeypatch.setattr(FusedBitPlaneBackend, "matmul", matmul)
+    monkeypatch.setattr(Chip, "_exact_weights", weights)
+    return calls
+
+
+def assert_layer_path(spy, fused, banded, forwards=1):
+    """Where the band runs, every layer matmul took the layer GEMM and
+    the backend's tile matmul never ran; elsewhere every tile ran it."""
+    assert spy["layer_gemm"] == [banded] * (
+        forwards * len(fused.program.layers))
+    assert spy["tile_matmuls"] == (
+        0 if banded else forwards * len(fused._programmed))
+
+
 class TestDenseOracle:
     @pytest.mark.parametrize("bits_per_cell", (1, 2))
     @pytest.mark.parametrize("retention", RETENTIONS)
     @pytest.mark.parametrize("temp", TEMPS)
     @pytest.mark.parametrize("sigma", SIGMAS)
-    def test_grid(self, twins, sigma, temp, retention, bits_per_cell):
+    def test_grid(self, twins, spy, sigma, temp, retention,
+                  bits_per_cell):
         fused, dense = twins(build_model(), retention=retention,
                              tile_rows=None, tile_cols=None,
                              sigma_vth_fefet=sigma,
@@ -90,11 +129,12 @@ class TestDenseOracle:
         banded = temp in GATE[(bits_per_cell, retention)]
         assert fused.backend.exact_decode(temp, retention) is banded
         assert_twins_agree(fused, dense, images(), temp, banded)
+        assert_layer_path(spy, fused, banded)
 
     @pytest.mark.parametrize("bits_per_cell, temp, banded",
                              [(1, 27.0, True), (1, 85.0, True),
                               (2, 27.0, True), (2, 85.0, False)])
-    def test_ragged_tiling(self, twins, bits_per_cell, temp, banded):
+    def test_ragged_tiling(self, twins, spy, bits_per_cell, temp, banded):
         """Conv N = 4 splits into 3 + 1 columns and dense N = 5 into
         3 + 2, so single- and multi-column tiles both run the band."""
         fused, dense = twins(build_model(), tile_rows=16, tile_cols=3,
@@ -102,8 +142,9 @@ class TestDenseOracle:
                              bits_per_cell=bits_per_cell)
         assert {tile.n for tile in fused._programmed.values()} == {1, 2, 3}
         assert_twins_agree(fused, dense, images(), temp, banded)
+        assert_layer_path(spy, fused, banded)
 
-    def test_two_replica_fleet(self, twins):
+    def test_two_replica_fleet(self, twins, spy):
         fused, dense = twins(build_model(), tile_rows=16, tile_cols=3,
                              sigma_vth_fefet=54e-3, seed=3)
         fleets = [Chip.build_replicas(chip.program, chip.design, 2,
@@ -112,6 +153,93 @@ class TestDenseOracle:
         x = images(n=2, seed=4)
         for replica, (f, d) in enumerate(zip(*fleets)):
             assert_twins_agree(f, d, x, 27.0 + 58.0 * replica, True)
+        assert_layer_path(spy, fused, True, forwards=2)
+
+
+def scattered(m, n, cols, fixes):
+    """Corrections at their tile columns, as a dense ``(m, n)`` array."""
+    out = np.zeros((m, n))
+    out[:, cols] = fixes
+    return out
+
+
+def assert_sources_agree(backend, tile, band, x, bits, temp):
+    """The band's table and the per-instance decode correct ``x``
+    identically, bit for bit."""
+    decoded = dataclasses.replace(band, table=None)
+    want = scattered(x.shape[0], tile.n, *backend.corrections(
+        tile, decoded, x, bits, temp_c=temp))
+    got = scattered(x.shape[0], tile.n, *backend.corrections(
+        tile, band, x, bits, temp_c=temp))
+    assert np.array_equal(got, want)
+    return want
+
+
+def every_pattern(tile):
+    """Codes driving every ``2**cells`` input pattern into every chunk on
+    every activation bit (one row per pattern), over the tile's ``k``."""
+    q = np.arange(1 << tile.cells)
+    cells = (q[:, None] >> np.arange(tile.cells)) & 1
+    return 255 * np.tile(cells, tile.chunks)[:, :tile.k]
+
+
+class TestCorrectionSources:
+    """Undrifted keys serve their bands' per-pattern tables; drifted keys
+    and tiles whose table would overflow the variation block budget keep
+    the per-instance decode.  Both give the same corrections."""
+
+    @pytest.fixture(scope="class")
+    def benchmark_fleet(self, twins):
+        """The ``serve-variation`` benchmark's two replicas."""
+        model, _ = build_serving_workload(0, width=4, image_size=8, seed=0)
+        fused, _ = twins(model, tile_rows=32, tile_cols=16,
+                         sigma_vth_fefet=54e-3)
+        return Chip.build_replicas(fused.program, fused.design, 2,
+                                   first=fused)
+
+    @pytest.mark.parametrize("temp", TEMPS)
+    def test_benchmark_bands_carry_tables(self, benchmark_fleet, temp):
+        rng = np.random.default_rng(int(temp))
+        fixed = 0
+        for chip in benchmark_fleet:
+            for tile in chip._programmed.values():
+                band = chip.backend.guard_band(tile, temp)
+                assert band.table is not None
+                x = rng.integers(0, 256, (6, tile.k))
+                sub = np.sort(rng.choice(8, size=5, replace=False))
+                mask = int(np.sum(np.left_shift(1, sub)))
+                for codes, bits in ((x, np.arange(8)), (x & mask, sub),
+                                    (every_pattern(tile), np.arange(8))):
+                    fixed += np.count_nonzero(assert_sources_agree(
+                        chip.backend, tile, band, codes, bits, temp))
+        assert fixed   # the fixture does exercise misreads
+
+    @pytest.mark.parametrize("temp", (27.0, 85.0))
+    def test_drifted_key_decodes_per_instance(self, twins, temp):
+        fused, dense = twins(build_model(), retention=0.99,
+                             sigma_vth_fefet=54e-3)
+        assert_twins_agree(fused, dense, images(), temp, True)
+        for tile in fused._programmed.values():
+            assert fused.backend.guard_band(tile, temp, 0.99).table is None
+            assert fused.backend.guard_band(tile, temp).table is not None
+
+    def test_wide_rows_past_the_budget_decode_per_instance(self, twins):
+        """A 16-cell table spans 2**16 patterns per entry: tiles with more
+        than four uncertified entries overflow the budget and keep the
+        per-instance decode, the rest tabulate, and the chip still
+        matches the dense oracle."""
+        fused, dense = twins(build_model(), cells_per_row=16,
+                             tile_rows=None, tile_cols=None,
+                             sigma_vth_fefet=54e-3)
+        assert_twins_agree(fused, dense, images(), 27.0, True)
+        budget = FusedBitPlaneBackend.block_budget_variation
+        overflow = 0
+        for tile in fused._programmed.values():
+            band = fused.backend.guard_band(tile, 27.0)
+            over = (band.n_uncertified * tile.cells << tile.cells) > budget
+            assert (band.table is None) is over
+            overflow += over
+        assert overflow
 
 
 class TestCertificate:

@@ -381,6 +381,40 @@ class TestLifecycle:
                 assert pool.workers[0].thread.is_alive()
         assert np.array_equal(logits, pool.chips[0].forward(later))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("mode", ["sync", "threads", "processes"])
+    def test_failed_batch_counts_its_requests(self, nominal, mode):
+        """A NaN request co-batched with a good one fails the batch; the
+        replica and fleet totals count both requests and the batch as
+        failed, and none of them as served."""
+        program, design = nominal
+        good, poisoned = requests(2)
+        poisoned = poisoned.copy()
+        poisoned[0, 3] = np.nan
+        substrate = ({"autostart": False} if mode == "sync"
+                     else {"workers": mode})
+        with ChipPool(program, design, n_replicas=1, max_batch_size=2,
+                      linger_s=5.0, **substrate) as pool:
+            tickets = [pool.submit(good), pool.submit(poisoned)]
+            if mode == "sync":
+                pool.step()
+            for ticket in tickets:
+                with pytest.raises(ValueError):
+                    ticket.result(timeout=30.0)
+            stats = pool.stats()
+            served = pool.submit(good)
+            if mode == "sync":
+                pool.step()
+            served.result(timeout=30.0)
+            after = pool.stats()
+        for view in (stats.totals, stats.replicas[0]):
+            assert view["failed_requests"] == 2
+            assert view["failed_batches"] == 1
+            assert view["requests"] == view["batches"] == 0
+        assert after.totals["failed_requests"] == 2
+        assert after.totals["failed_batches"] == 1
+        assert after.totals["requests"] == after.totals["batches"] == 1
+
     def test_submit_after_close_rejected(self, nominal):
         program, design = nominal
         pool = ChipPool(program, design, n_replicas=1, autostart=False)
