@@ -39,13 +39,13 @@ implementations ship:
     outputs are bit-identical to the dense backend (the equivalence suite
     enforces this), typically several times faster, and the LUT caches make
     repeated temperature sweeps nearly free.  Arrays with programmed-in
-    variation serve through a *certified guard band* where the nominal
-    decode is exact: every (plane, chunk, column) entry whose worst-case
-    variation offset stays inside its nominal decode margin provably
-    decodes its exact count, so the tile runs as one float64 GEMM of its
-    weight codes plus integer corrections of only the other entries —
-    read from a per-input-pattern table at undrifted keys, decoded
-    explicitly per instance otherwise.
+    variation serve through a *certified guard band* at every temperature
+    and retention: every (plane, chunk, column) entry whose worst-case
+    variation offset stays inside the decode bucket of its exact count
+    provably decodes that count, so the tile runs as one float64 GEMM of
+    its weight codes plus integer corrections of only the other entries —
+    read from a per-input-pattern table where it fits the block budget,
+    decoded explicitly per instance otherwise.
 
 Both backends share :meth:`ArrayBackend.program`, so identical RNGs yield
 identical per-cell variation draws — the foundation of the dense-vs-fused
@@ -179,7 +179,7 @@ def _digit_vacc(s11, w_sum, n_x1, cells, gain, z01, z00, s_on, s_off):
     ``s11`` is the input-gated digit sum ``sum_i d_i x_i``, ``w_sum`` the
     plain digit sum ``sum_i d_i``, ``n_x1`` the high-input count.  Every
     backend path that handles ``bits_per_cell > 1`` — the dense reference,
-    the fused LUT builder, and the fused variation path — evaluates *this
+    the fused LUT builder, and the guard band's decodes — evaluates *this
     function*, so their float64 expressions are operation-for-operation
     identical and the dense-vs-fused bit-identity guarantee carries over
     to multibit arrays.
@@ -189,20 +189,37 @@ def _digit_vacc(s11, w_sum, n_x1, cells, gain, z01, z00, s_on, s_off):
 
 
 def _cell_offsets(xb, dv, n):
-    """Variation offsets ``sum_e xb[..., i, e] * dv[i, e]`` of gathered
-    entries, summed in the order the backends' ``einsum`` over a tile of
-    ``n`` columns sums them, so the float64 result is bitwise the same.
+    """Variation offsets ``sum_e xb[e][..., i] * dv[i, e]`` of gathered
+    entries, ``xb`` listing their 0/1 inputs cell by cell, summed in the
+    order the backends' ``einsum`` over a tile of ``n`` columns sums them,
+    so the float64 result is bitwise the same.
 
     Over a tile of two or more columns that ``einsum`` runs the column
     axis innermost and accumulates cell by cell from zero; over a single
     column it reduces the contiguous cell axis in one SIMD pass, which an
-    ``einsum`` over this contiguous cell axis reproduces.
+    ``einsum`` over a stacked contiguous cell axis reproduces.
     """
     if n == 1:
-        return np.einsum("...ie,ie->...i", xb, dv)
-    offset = np.zeros(xb.shape[:-1])
-    for e in range(xb.shape[-1]):
-        offset += xb[..., e] * dv[:, e]
+        return np.einsum("...ie,ie->...i", np.stack(xb, axis=-1), dv)
+    offset = np.zeros(xb[0].shape)
+    for e, x in enumerate(xb):
+        offset += x * dv[:, e]
+    return offset
+
+
+def _pattern_offsets(patterns, dv, n):
+    """:func:`_cell_offsets` ``(2**cells, u)`` of entries with cell offsets
+    ``dv`` under every input pattern, row ``q`` of ``patterns`` holding
+    the bits of ``q``.  Summed cell by cell from zero, pattern ``q`` is
+    ``q`` without its top cell plus that cell's offset (an inactive cell
+    adds a zero, which changes no sum), so each pattern costs one add."""
+    if n == 1:
+        shape = (patterns.shape[0], dv.shape[0])
+        return _cell_offsets([np.broadcast_to(x[:, None], shape)
+                              for x in patterns.T], dv, n)
+    offset = np.zeros((patterns.shape[0], dv.shape[0]))
+    for e in range(dv.shape[1]):
+        offset[1 << e:2 << e] = offset[:1 << e] + dv[:, e]
     return offset
 
 
@@ -261,11 +278,12 @@ class DecodeRecord:
     ``(temp_c, retention)``, built once from one voltage grid.
 
     ``margin[0][W]`` / ``margin[1][W]`` are the smallest gaps from the
-    nominal eq. (1) voltage up / down to the edges of its decode bucket
-    (``thr[d-1] < v <= thr[d]``) over every reachable ``(S11, n_x1)`` with
-    stored digit sum ``W``, less a float64 slack (:attr:`SLACK_REL`,
-    :attr:`SLACK_V`); an open edge is ``inf``.  ``guard_bands`` caches
-    :class:`GuardBand` certificates per programmed tile at this key.
+    nominal eq. (1) voltage up / down to the edges of the exact count's
+    decode bucket (``thr[S11-1] < v <= thr[S11]``) over every reachable
+    ``(S11, n_x1)`` with stored digit sum ``W``, less a float64 slack
+    (:attr:`SLACK_REL`, :attr:`SLACK_V`); an open edge is ``inf``, and a
+    misdecoding triple's ``W`` gets a negative margin.  ``guard_bands``
+    caches :class:`GuardBand` certificates per programmed tile here.
     """
 
     #: Float64 slack taken off every margin: relative to the largest
@@ -333,15 +351,14 @@ class GuardBand:
     An entry (plane, chunk, column) is *certified* when both worst-case
     variation offsets, ``gain * sum(max(f * w_dv, 0))`` upward and
     ``gain * sum(max(-f * w_dv, 0))`` downward over its cells, fall
-    strictly below the entry's nominal margin at its digit sum: then it
-    decodes ``S11`` whatever the activations, and the tile's exact product
+    strictly below the entry's margin at its digit sum: then it decodes
+    ``S11`` whatever the activations, and the tile's exact product
     ``x_codes @ W_tile`` already holds its contribution.  The uncertified
     entries only add integer *corrections* (decoded minus exact count) to
     that product.  The arrays below describe them, ordered by column, for
     the explicit per-instance decode; ``table`` holds the same corrections
-    per input pattern where the band was built for an undrifted key and
-    the table fits the variation block budget (``None`` otherwise).  A
-    band is never modified once built.
+    per input pattern where the table fits the variation block budget
+    (``None`` otherwise).  A band is never modified once built.
     """
 
     certified: np.ndarray     # (P, chunks, n) bool
@@ -677,38 +694,34 @@ class FusedBitPlaneBackend(ArrayBackend):
        over every (activation bit, row) that drove it.
 
     Arrays with programmed-in variation carry a continuous offset, so the
-    LUT shortcut does not apply.  Where the nominal decode is exact, the
-    certified guard band (:meth:`guard_band`) serves the tile as the
-    exact GEMM of its weight codes plus :meth:`corrections` of the
-    entries whose worst-case offset can leave their nominal margin.  At
-    an undrifted key those come from a per-pattern
-    :class:`CorrectionTable` built once with the band (the second fact
-    again: with the variation draw frozen, an entry's decode depends only
-    on its chunk's input pattern); at drifted keys and on tiles too wide
-    to tabulate, from an explicit per-instance decode.  Where the gate
-    fails, the fused path assembles every voltage explicitly.  Every
-    explicit voltage matches the dense expression
-    operation-for-operation.
+    LUT shortcut does not apply.  At every key the certified guard band
+    (:meth:`guard_band`) serves such a tile as the exact GEMM of its
+    weight codes plus :meth:`corrections` of the entries whose
+    worst-case offset can leave their exact count's decode bucket, read
+    from a per-pattern :class:`CorrectionTable` (the second fact again,
+    with the variation draw frozen) or, on tiles too wide to tabulate,
+    decoded per instance with the dense expression's float operations.
 
-    Work is blocked over activation rows (over chunks on the multibit
-    pattern decode) to bound peak memory (``block_budget`` intermediate
-    elements per block).
+    Nominal work is blocked over activation rows (over chunks on the
+    multibit pattern decode) to bound peak memory (``block_budget``
+    intermediate elements per block).
     """
 
     name = "fused"
 
     #: Max elements of the (bits_x, M_block, P, chunks, n) intermediate
     #: (of each per-block intermediate on the pattern decode).
-    #: The variation path materializes several float64 tensors of that
-    #: shape at once, so it gets a proportionally smaller budget, which
-    #: also bounds a guard band's correction-table build (``2**cells``
-    #: patterns times the uncertified entries' cells).
+    #: A guard band's decodes materialize several float64 tensors per
+    #: uncertified entry and cell, so they get a smaller budget, which
+    #: bounds the correction-table build (``2**cells`` patterns times the
+    #: uncertified entries' cells) and the per-instance decode's blocks.
     block_budget = 16 * 2 ** 20
     block_budget_variation = 4 * 2 ** 20
-    #: Drifted ``(temp_c, retention)`` keys kept cached.  A drifting chip
-    #: reads a new retention every batch, so these keys rarely repeat
-    #: beyond one forward pass; undrifted keys are few and stay cached.
-    drifted_keys = 32
+    #: Drifted ``(temp_c, retention)`` keys kept cached, with their bands'
+    #: tables.  A drifting chip reuses its key only within one forward
+    #: pass and its probes, so this covers a few replicas drifting at
+    #: once; undrifted keys are few and stay cached.
+    drifted_keys = 4
 
     def __init__(self, unit):
         super().__init__(unit)
@@ -759,42 +772,54 @@ class FusedBitPlaneBackend(ArrayBackend):
             record = cache.setdefault(key, self._build_record(temp_c, f))
         return record
 
-    def _nominal_vacc(self, s11, w_sum, n_x1, temp_c, f):
-        """Nominal eq. (1) voltage of chunks with counts ``(S11, W, n_x1)``
-        (``n11`` and ``n_w1`` on 1-bit cells) at ``temp_c`` and retention
-        fraction ``f`` — the dense backend's float expression, so the
-        LUT, the variation decode and the guard band agree with it bit
-        for bit."""
+    def _voltage_grid(self, temp_c, f):
+        """Nominal eq. (1) voltage of every flat ``(S11, W, n_x1)`` LUT
+        address (``n11`` and ``n_w1`` on 1-bit cells) at ``temp_c`` and
+        retention fraction ``f`` — the dense backend's float expression,
+        so the LUT, the guard band's margins and its decodes agree with it
+        bit for bit."""
         unit = self.unit
         cells = unit.config.cells_per_row
         gain = unit.config.sensing.share_gain(cells)
         von, z10, z01, z00 = unit.drifted_levels(temp_c, f)
-        if getattr(unit.config, "bits_per_cell", 1) > 1:
+        d = (1 << getattr(unit.config, "bits_per_cell", 1)) - 1
+        s11 = np.arange(cells * d + 1, dtype=np.float64)[:, None, None]
+        w_sum = s11.reshape(1, -1, 1)
+        n_x1 = np.arange(cells + 1, dtype=np.float64)[None, None, :]
+        if d > 1:
             s_on, s_off = unit.drifted_digit_steps(temp_c, f)
             return _digit_vacc(s11, w_sum, n_x1, cells, gain,
-                               z01, z00, s_on, s_off)
+                               z01, z00, s_on, s_off).ravel()
         n10 = w_sum - s11
         n01 = n_x1 - s11
         n00 = cells - w_sum - n_x1 + s11
-        return gain * (s11 * von + n10 * z10 + n01 * z01 + n00 * z00)
+        return (gain * (s11 * von + n10 * z10 + n01 * z01
+                        + n00 * z00)).ravel()
+
+    def _nominal_vacc(self, s11, w_sum, n_x1, temp_c, f):
+        """Nominal voltage of chunks with counts ``(S11, W, n_x1)`` (floats
+        holding integers), gathered from :meth:`_voltage_grid`, whose
+        expression yields it elementwise: bitwise the dense value, at a
+        fraction of the passes over large arrays."""
+        cells = self.unit.config.cells_per_row
+        d = (1 << getattr(self.unit.config, "bits_per_cell", 1)) - 1
+        address = (s11 * (cells * d + 1) + w_sum) * (cells + 1) + n_x1
+        return np.take(self._voltage_grid(temp_c, f),
+                       address.astype(np.intp))
 
     def _build_record(self, temp_c, f):
         """Decode every ``(S11, W, n_x1)`` address once: the LUT, the exact
-        verdict and the per-``W`` margins all come from this voltage grid."""
-        cells = self.unit.config.cells_per_row
-        d = (1 << getattr(self.unit.config, "bits_per_cell", 1)) - 1
-        s11 = np.arange(cells * d + 1, dtype=np.float64)[:, None, None]
-        n_x1 = np.arange(cells + 1, dtype=np.float64)[None, None, :]
-        vacc = self._nominal_vacc(s11, s11.reshape(1, -1, 1), n_x1,
-                                  temp_c, f).ravel()
+        verdict and the per-``W`` margins (taken against ``S11``'s own
+        bucket) all come from this voltage grid."""
+        vacc = self._voltage_grid(temp_c, f)
         lut = self.unit.sensor.decode(vacc)
         index, s11, groups = self._reachable
-        v, got = vacc[index], lut[index]
+        v = vacc[index]
         edges = self._edges
-        margin = np.stack([np.minimum.reduceat(edges[got + 1] - v, groups),
-                           np.minimum.reduceat(v - edges[got], groups)])
+        margin = np.stack([np.minimum.reduceat(edges[s11 + 1] - v, groups),
+                           np.minimum.reduceat(v - edges[s11], groups)])
         return DecodeRecord(lut=lut.astype(np.int16),
-                            exact=bool(np.array_equal(got, s11)),
+                            exact=bool(np.array_equal(lut[index], s11)),
                             margin=margin - self._slack)
 
     def decode_lut(self, temp_c, retention=None):
@@ -828,20 +853,20 @@ class FusedBitPlaneBackend(ArrayBackend):
 
         The verdict is cached per ``(temp_c, retention)`` in the same
         :class:`DecodeRecord` as the LUT.  It is a property of the nominal
-        decode; arrays with programmed-in variation build on it through
-        :meth:`guard_band`.
+        decode; arrays with programmed-in variation serve through
+        :meth:`guard_band` whatever it says.
         """
         return self._record(temp_c, retention_fraction(retention)).exact
 
     # -- certified guard band --------------------------------------------
     def guard_band(self, programmed, temp_c, retention=None):
         """The certified :class:`GuardBand` of a tile with programmed-in
-        variation at ``(temp_c, retention)``, or ``None``.
+        variation at ``(temp_c, retention)``; ``None`` on nominal tiles
+        (they decode through the LUT).
 
-        ``None`` on nominal tiles (they decode through the LUT) and where
-        :meth:`exact_decode` fails, which leaves the explicit
-        :meth:`_decode_variation` path in charge.  The band is cached per
-        tile in the key's :class:`DecodeRecord` and held weakly, so a
+        Every key gets a band: where the nominal decode misreads, it
+        certifies no entry at the affected digit sums.  The band is cached
+        per tile in the key's :class:`DecodeRecord` and held weakly, so a
         replica with its own variation draw gets its own certificate and
         a dropped chip frees its bands.  (``ProgrammedArray.cache`` is
         shared between such replicas, so it cannot hold them.)
@@ -850,8 +875,6 @@ class FusedBitPlaneBackend(ArrayBackend):
             return None
         f = retention_fraction(retention)
         record = self._record(temp_c, f)
-        if not record.exact:
-            return None
         with self._lock:
             band = record.guard_bands.get(programmed)
         if band is None:
@@ -862,15 +885,13 @@ class FusedBitPlaneBackend(ArrayBackend):
 
     def _certify(self, programmed, margin, temp_c, f):
         """Build the :class:`GuardBand` of ``programmed`` against the
-        per-``W`` nominal ``margin`` at ``temp_c`` and retention fraction
-        ``f``.
+        per-``W`` ``margin`` at ``temp_c`` and retention fraction ``f``.
 
-        An undrifted key (``f is None``) is reused by every later batch
-        at its temperature, so its band also gets the per-pattern
-        :class:`CorrectionTable` when the build (``2**cells`` patterns
-        times the uncertified entries' cells) fits
-        ``block_budget_variation``.  A drifted key lives for about one
-        batch, which would not repay the build.
+        The band also gets the per-pattern :class:`CorrectionTable`
+        whenever the build (``2**cells`` patterns times the uncertified
+        entries' cells) fits ``block_budget_variation``, drifted keys
+        included: every tile of a chip reads a key at least once per
+        forward pass.
         """
         cells = programmed.cells
         gain = self.unit.config.sensing.share_gain(cells)
@@ -893,39 +914,40 @@ class FusedBitPlaneBackend(ArrayBackend):
             scale=(programmed.signs[plane].astype(np.int64)
                    << programmed.plane_bits[plane]),
             starts=starts, cols=col[starts])
-        if (f is None and (band.n_uncertified * cells << cells)
-                <= self.block_budget_variation):
+        if band.n_uncertified * cells << cells <= self.block_budget_variation:
             band.table = self._correction_table(programmed, band, col,
-                                                temp_c)
+                                                temp_c, f)
         return band
 
-    def _correction_table(self, programmed, band, col, temp_c):
-        """The :class:`CorrectionTable` of an undrifted ``band``.
+    def _correction_table(self, programmed, band, col, temp_c, f):
+        """The :class:`CorrectionTable` of ``band`` at ``temp_c`` and
+        retention fraction ``f``.
 
         Runs :meth:`_decode_uncertified`'s float expressions — the
         nominal voltage, then the variation offset summed in the tile's
-        column order (:func:`_cell_offsets`) — on every input pattern of
-        every uncertified entry, so each table value is bitwise the
+        column order (:func:`_pattern_offsets`) — on every input pattern
+        of every uncertified entry, so each table value is bitwise the
         per-instance decode's.  Entries fold per (column, chunk) pair.
         """
         cells, chunks = programmed.cells, programmed.chunks
         gain = self.unit.config.sensing.share_gain(cells)
-        patterns = (np.arange(1 << cells)[:, None] >> np.arange(cells)) & 1
-        xb = np.repeat(patterns[:, None, :], band.n_uncertified,
-                       axis=1).astype(np.float64)          # (2**cells, u, e)
-        n11 = np.einsum("qie,ie->qi", xb, band.digits)
-        vacc = self._nominal_vacc(n11, band.w_sum, xb.sum(axis=2), temp_c,
-                                  None)
-        vacc = vacc + gain * _cell_offsets(xb, band.dv, programmed.n)
+        patterns = ((np.arange(1 << cells)[:, None] >> np.arange(cells))
+                    & 1).astype(np.float64)                # (2**cells, e)
+        n11 = patterns @ band.digits.T          # (2**cells, u), exact
+        vacc = self._nominal_vacc(n11, band.w_sum,
+                                  patterns.sum(axis=1)[:, None], temp_c, f)
+        vacc = vacc + gain * _pattern_offsets(patterns, band.dv,
+                                              programmed.n)
         fixes = ((self.unit.sensor.decode(vacc) - n11.astype(np.int64))
                  * band.scale)                             # (2**cells, u)
 
         # Fold the planes per (column, chunk) pair, in column order, and
         # drop the pairs that never correct.
-        pairs, entry_pair = np.unique(col * chunks + band.chunk,
-                                      return_inverse=True)
-        values = np.zeros((pairs.size, 1 << cells), dtype=np.int64)
-        np.add.at(values, entry_pair, fixes.T)
+        key = col * chunks + band.chunk
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        values = np.add.reduceat(fixes[:, order], first, axis=1).T
+        pairs = key[order][first]
         keep = values.any(axis=1)
         values, pairs = values[keep], pairs[keep]
         pair_col, pair_chunk = np.divmod(pairs, chunks)
@@ -1062,7 +1084,7 @@ class FusedBitPlaneBackend(ArrayBackend):
             return result
 
         stack = self._weight_stack(programmed)
-        if programmed.w_dv is None and "w_aug" in stack:   # multibit
+        if "w_aug" in stack:   # multibit
             return self._decode_patterns(programmed, stack, x_codes,
                                          np.flatnonzero(active_x), temp_c, f)
 
@@ -1074,18 +1096,12 @@ class FusedBitPlaneBackend(ArrayBackend):
 
         per_row = (bits_x * programmed.n_planes * programmed.chunks
                    * programmed.n)
-        budget = (self.block_budget if programmed.w_dv is None
-                  else self.block_budget_variation)
-        block = max(1, int(budget // max(per_row, 1)))
+        block = max(1, int(self.block_budget // max(per_row, 1)))
         for m0 in range(0, m, block):
             m1 = min(m0 + block, m)
             x32, n_x1 = self._x_stack(programmed, x_codes[m0:m1])
-            if programmed.w_dv is not None:
-                counts = self._decode_variation(
-                    programmed, stack, x32, n_x1, temp_c, f)
-            else:
-                counts = self._decode_nominal(
-                    programmed, stack, x32, n_x1, temp_c, f)
+            counts = self._decode_nominal(programmed, stack, x32, n_x1,
+                                          temp_c, f)
             # counts: (Bx, Mb, P, n) exact integers -> shift-add reduction.
             result[m0:m1] = np.tensordot(scale, counts, axes=([0, 1], [0, 2]))
         return result
@@ -1140,22 +1156,26 @@ class FusedBitPlaneBackend(ArrayBackend):
         then the variation offset summed over the cells in the dense
         ``einsum``'s order (:func:`_cell_offsets`) — and returns the
         shift-added corrections ``decode - S11`` per column group,
-        ``(M, len(band.cols))`` float64.
+        ``(M, len(band.cols))`` float64.  Inputs are read cell by cell,
+        so every pass runs over contiguous (bit, row, entry) planes.
         """
         cells, chunks = programmed.cells, programmed.chunks
         gain = self.unit.config.sensing.share_gain(cells)
         m, u = x_codes.shape[0], band.n_uncertified
-        shifts = bits[:, None, None, None]
+        # Narrow codes shift several times faster (see CorrectionTable).
+        dtype = np.uint16 if bits[-1] < 16 else np.int64
+        shifts = bits.astype(dtype)[:, None, None]
         out = np.empty((m, band.cols.size))
         block = max(1, int(self.block_budget_variation
                            // (bits.size * u * cells)))
         for m0 in range(0, m, block):
             m1 = min(m0 + block, m)
-            xc = x_codes[m0:m1].reshape(m1 - m0, chunks, cells)[:, band.chunk]
-            xb = ((xc[None] >> shifts) & 1).astype(np.float64)
-            n11 = np.einsum("bmie,ie->bmi", xb, band.digits)
-            n_x1 = xb.sum(axis=3)
-            vacc = self._nominal_vacc(n11, band.w_sum, n_x1, temp_c, f)
+            xc = x_codes[m0:m1].astype(dtype).reshape(
+                m1 - m0, chunks, cells)[:, band.chunk]
+            xb = [((xc[None, :, :, e] >> shifts) & 1).astype(np.float64)
+                  for e in range(cells)]                  # (bits, mb, u)
+            n11 = sum(x * d for x, d in zip(xb, band.digits.T))
+            vacc = self._nominal_vacc(n11, band.w_sum, sum(xb), temp_c, f)
             vacc = vacc + gain * _cell_offsets(xb, band.dv, programmed.n)
             fixes = self.unit.sensor.decode(vacc) - n11.astype(np.int64)
             shifted = (fixes << bits[:, None, None]).sum(axis=0)
@@ -1252,27 +1272,6 @@ class FusedBitPlaneBackend(ArrayBackend):
                 np.take(table, inverse.reshape(m, cb * b), axis=0),
                 np.tile(np.ldexp(1.0, bits), cb))
         return result
-
-    def _decode_variation(self, programmed, stack, x32_block, n_x1_block,
-                          temp_c, retention=None):
-        """Explicit-voltage decode for arrays with programmed-in variation.
-
-        Operation-for-operation the dense backend's expression, evaluated
-        over the full plane-pair stack at once.
-        """
-        gain = self.unit.config.sensing.share_gain(programmed.cells)
-        n11 = self._pair_counts(programmed, x32_block,
-                                stack["w32"]).astype(np.float64)
-        n_w1 = programmed.w_counts[None, None, :, :, :]     # (1,1,P,c,n)
-        n_x1 = n_x1_block.astype(np.float64)[:, :, None, :, None]
-        vacc = self._nominal_vacc(n11, n_w1, n_x1, temp_c, retention)
-        # Variation offsets shrink with the stored level they perturb —
-        # same per-element scaling the dense backend applies.
-        w_dv = (programmed.w_dv if retention is None
-                else retention * programmed.w_dv)
-        vacc = vacc + gain * np.einsum(
-            "xmce,pcen->xmpcn", x32_block.astype(np.float64), w_dv)
-        return self.unit.sensor.decode(vacc).sum(axis=3, dtype=np.int64)
 
 
 #: Registry of selectable backends, keyed by CLI/config name.  This dict is

@@ -37,14 +37,16 @@ the identity at the read's temperature and retention
 (:meth:`~repro.array.backend.ArrayBackend.exact_decode`), a
 variation-free layer's tile loop equals one integer product, and the
 chip serves the layer as one float64 GEMM — bit-identical, and metered
-exactly like the tile loop (``tests/compiler/test_exact_decode.py``).
+exactly like the tile loop (``tests/compiler/test_exact_decode.py``);
+where that gate fails, every tile runs the backend's analog decode.
 A layer whose tiles carry programmed-in variation takes the same GEMM
-plus, per tile, the integer corrections of the entries its certified
-guard band (:meth:`~repro.array.backend.ArrayBackend.guard_band`)
-leaves uncertified (``tests/compiler/test_guard_band.py``); the meter
-counts how many layer matmuls ran a guard band and how many row ops were
-still decoded explicitly.  Where the gate fails, every tile runs the
-backend's analog decode.
+at every temperature and retention, plus, per tile, the integer
+corrections of the entries its certified guard band
+(:meth:`~repro.array.backend.ArrayBackend.guard_band`) leaves
+uncertified (``tests/compiler/test_guard_band.py``); the meter counts
+how many layer matmuls ran a guard band and how many row ops were still
+decoded explicitly.  A backend that runs no guard band (the dense
+oracle) keeps such a layer on the tile loop.
 
 Timing/energy model: weight planes, chunks, and tiles are spatially
 parallel (each row has its own ADC and accumulation capacitor);
@@ -329,7 +331,7 @@ class Chip:
         if programmed is None:
             self._write_tiles()
         #: layer index -> float64 (K, N) signed weight codes, built on the
-        #: first exact-path matmul of that layer.
+        #: first layer GEMM of that layer.
         self._layer_weights = {}
         #: Optional per-chip retention clock (:class:`DriftState`).
         #: ``None`` — the default — means stored state is treated as
@@ -498,23 +500,15 @@ class Chip:
     # ------------------------------------------------------------------
     # tiled matmul with partial-sum accumulation
     # ------------------------------------------------------------------
-    def _exact_weights(self, plan, temp_c, retention):
-        """The layer's signed weight codes as float64 ``(K, N)`` when the
-        backend proves its nominal decode LUT is the identity at
-        ``(temp_c, retention)`` (:meth:`~repro.array.backend.\
-ArrayBackend.exact_decode`), else ``None``.
+    def _exact_weights(self, plan):
+        """The layer's signed weight codes as float64 ``(K, N)``, cached.
 
-        Then every nominal chunk decodes its exact count ``n11``, the
-        layer-pinned plane schedule shift-adds the planes back to
-        ``w_codes``, and the active-bit mask drops only bits absent from
-        every activation code — so a variation-free layer's tiled result
-        is ``x_codes @ w_codes``, and a layer with variation differs from
-        it only by its guard bands' corrections.  Its partial sums are
-        integers below ``2**53``, which float64 BLAS adds exactly in any
-        order.
+        Where every chunk decodes its exact count, the layer-pinned plane
+        schedule and active-bit mask make the tile loop equal ``x_codes @
+        w_codes`` (plus any guard bands' corrections); its partial sums
+        are integers below ``2**53``, which float64 BLAS adds exactly in
+        any order.
         """
-        if not self.backend.exact_decode(temp_c, retention):
-            return None
         weights = self._layer_weights.get(plan.index)
         if weights is None:
             weights = np.zeros((plan.k, plan.n))
@@ -533,12 +527,14 @@ ArrayBackend.exact_decode`), else ``None``.
         count is an exact small integer times a power of two, so the
         accumulation order cannot introduce float error.
 
-        When the nominal decode provably makes no errors
-        (:meth:`_exact_weights`) the layer runs as one float64 GEMM
-        instead, plus each variation tile's guard-band corrections
+        A layer whose tiles all run a certified guard band, and a
+        variation-free layer whose nominal decode provably makes no errors
+        (:meth:`~repro.array.backend.ArrayBackend.exact_decode`), run as
+        one float64 GEMM against :meth:`_exact_weights` instead, plus
+        each band's corrections
         (:meth:`~repro.array.backend.FusedBitPlaneBackend.corrections`)
-        at its columns — bit-identical to the tile loop.  The meter books
-        the same row ops and cycles either way; only the decode-path
+        at its tile's columns — bit-identical to the tile loop.  The meter
+        books the same row ops and cycles either way; only the decode-path
         counters tell the paths apart: ``exact_layer_matmuls`` counts
         variation-free layers on the GEMM, ``analog_layer_matmuls`` the
         rest, ``certified_layer_matmuls`` those whose tiles all ran a
@@ -565,7 +561,6 @@ ArrayBackend.exact_decode`), else ``None``.
         # absent clock yields ``None``/``1.0``, which the backends gate
         # back to the literal undrifted code path.
         retention = None if self.drift is None else self.drift.retention()
-        weights = self._exact_weights(plan, temp_c, retention)
         # Per variation tile: its certified guard band (``None`` where the
         # backend runs none).  Per tile: the entries its matmul decodes
         # explicitly — those a band leaves uncertified, every entry of a
@@ -583,16 +578,13 @@ ArrayBackend.exact_decode`), else ``None``.
                                        * programmed.n))
         certified = (len(bands) == len(plan.tiles)
                      and None not in bands.values())
-        # Where the gate holds, the fused backend certifies every variation
-        # tile against the same exact record; a variation tile without a
-        # band keeps the layer on the tile loop.
-        if bands and not certified:
-            weights = None
+        gemm = certified or (not bands and self.backend.exact_decode(
+            temp_c, retention))
         self.meter.record_cycles(rows=m, active_bits=n_active,
-                                 exact=weights is not None and not bands,
+                                 exact=gemm and not bands,
                                  certified=certified)
-        if weights is not None:
-            out = x_codes.astype(np.float64) @ weights
+        if gemm:
+            out = x_codes.astype(np.float64) @ self._exact_weights(plan)
             if bands and m and n_active:
                 bits = np.flatnonzero(active)
                 for tile in plan.tiles:
@@ -612,7 +604,7 @@ ArrayBackend.exact_decode`), else ``None``.
                 tile = plan.tiles[t]
                 key = (tile.layer_index, tile.row_block, tile.col_block)
                 programmed = self._programmed[key]
-                if weights is None:
+                if not gemm:
                     out[:, tile.n0:tile.n1] += self.backend.matmul(
                         programmed, x_codes[:, tile.k0:tile.k1],
                         temp_c=temp_c, active_bits=active,

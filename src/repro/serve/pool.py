@@ -532,6 +532,8 @@ class ChipPool:
             raise ValueError("a request needs at least one image")
         temp = canonical_temp(self._default_temp(group) if temp_c is None
                               else temp_c)
+        # NaN or infinity would fail every request batched with it.
+        finite = x.dtype.kind not in "fc" or bool(np.isfinite(x).all())
         with self._cond:
             if self._closed:
                 raise RuntimeError("pool is closed")
@@ -542,6 +544,10 @@ class ChipPool:
                     f"replica {target.index} is drained")
             ticket = InferenceTicket(self._next_id)
             self._next_id += 1
+            if not finite:
+                ticket._resolve(error=ValueError(
+                    "NaN or infinity in a request has no activation codes"))
+                return ticket
             target.queue.push(
                 PendingRequest(x, temp, ticket, time.perf_counter(),
                                pinned=worker is not None, age=age))
@@ -554,7 +560,9 @@ class ChipPool:
         ``x`` is one request's image tensor (N, H, W, C) or feature
         matrix (N, F); ``temp_c`` overrides the mapping's operating
         temperature for this request only (normalized to a canonical
-        float, so mixed numeric dtypes coalesce into one batch).
+        float, so mixed numeric dtypes coalesce into one batch).  A
+        request holding NaN or infinity is never queued: its ticket
+        fails alone with ``ValueError``.
         """
         return self._enqueue(x, temp_c)
 

@@ -2,16 +2,18 @@
 GEMM plus integer corrections of only the entries that can misread.
 
 A (plane, chunk, column) entry is certified when its worst-case
-variation offset stays strictly inside its nominal decode margin, and
-the band runs only where the nominal decode is exact.  There the chip
-serves a variation layer as one layer GEMM plus each band's corrections,
-taken from a per-pattern table at undrifted keys and from the explicit
-per-instance decode at drifted keys and on tiles too wide to tabulate.
-These tests pin where the band runs, how much it certifies and which
-correction source serves it, and check that the fused chip's logits and
-metering stay bit-identical to the dense chip's (which decodes every
-entry explicitly) on both sides of the gate, across tilings, replicas
-and a bounded cache of drifted keys.
+variation offset stays strictly inside the decode bucket of its exact
+count.  The band runs at every temperature and retention: where the
+nominal decode misreads a reachable triple, the entries at that digit
+sum are simply never certified.  The chip serves a variation layer as
+one layer GEMM plus each band's corrections, taken from a per-pattern
+table wherever it fits the variation block budget and from the explicit
+per-instance decode on tiles too wide to tabulate.  These tests pin how
+much the band certifies and which correction source serves it, and
+check that the fused chip's logits and metering stay bit-identical to
+the dense chip's (which decodes every entry explicitly) on both sides of
+the exact-decode gate, across tilings, replicas and a bounded cache of
+drifted keys.
 """
 
 import dataclasses
@@ -33,7 +35,8 @@ PATH_COUNTERS = ("exact_layer_matmuls", "analog_layer_matmuls",
                  "certified_layer_matmuls", "explicit_row_ops")
 
 #: (bits per cell, retention) -> temperatures where the nominal decode is
-#: exact, so tiles with variation run the guard band.
+#: exact.  Off them the guard band still serves every variation layer,
+#: but certifies no entry at a digit sum that can misdecode.
 GATE = {
     (1, None): {0.0, 27.0, 55.0, 85.0},
     (1, 0.99): {0.0, 27.0, 55.0, 85.0},
@@ -54,6 +57,20 @@ def images(n=3, seed=1):
     return np.random.default_rng(seed).normal(size=(n, 4, 4, 2))
 
 
+def misdecoding_digit_sums(chip, temp_c, retention):
+    """Digit sums ``W`` at which some reachable ``(S11, W, n_x1)`` triple
+    decodes to a count other than ``S11`` on the nominal LUT."""
+    cells = chip.mapping.cells_per_row
+    d = (1 << chip.mapping.bits_per_cell) - 1
+    lut = chip.backend.decode_lut(temp_c, retention).reshape(
+        cells * d + 1, cells * d + 1, cells + 1)
+    return sorted({w for w in range(cells * d + 1)
+                   for n_x1 in range(cells + 1)
+                   for s11 in range(max(0, w - d * (cells - n_x1)),
+                                    min(w, d * n_x1) + 1)
+                   if lut[s11, w, n_x1] != s11})
+
+
 def certified_share(chip, temp_c, retention=None):
     """Certified fraction of every (plane, chunk, column) entry."""
     bands = [chip.backend.guard_band(tile, temp_c, retention)
@@ -63,8 +80,10 @@ def certified_share(chip, temp_c, retention=None):
             / sum(band.certified.size for band in bands))
 
 
-def assert_twins_agree(fused, dense, x, temp_c, banded):
-    """Bit-identical logits and metering; the counters name the path."""
+def assert_twins_agree(fused, dense, x, temp_c):
+    """Bit-identical logits and metering; the counters name the path:
+    every fused layer matmul ran a guard band, and the dense chip decoded
+    every entry explicitly."""
     layers = len(fused.program.layers)
     assert np.array_equal(fused.forward(x, temp_c=temp_c),
                           dense.forward(x, temp_c=temp_c))
@@ -74,20 +93,17 @@ def assert_twins_agree(fused, dense, x, temp_c, banded):
     for snap in (got, want):
         assert snap["exact_layer_matmuls"] == 0
         assert snap["analog_layer_matmuls"] == layers
-    assert got["certified_layer_matmuls"] == (layers if banded else 0)
+    assert got["certified_layer_matmuls"] == layers
     assert want["certified_layer_matmuls"] == 0
     assert want["explicit_row_ops"] == want["row_ops"]
-    if banded:
-        assert got["explicit_row_ops"] < got["row_ops"]
-    else:
-        assert got["explicit_row_ops"] == got["row_ops"]
+    assert got["explicit_row_ops"] < got["row_ops"]
 
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Counts the fused backend's tile matmuls and records, per layer
-    matmul of a fused chip, whether it took the layer GEMM."""
-    calls = {"tile_matmuls": 0, "layer_gemm": []}
+    """Counts the fused backend's tile matmuls and a fused chip's layer
+    GEMMs."""
+    calls = {"tile_matmuls": 0, "layer_gemms": 0}
     tile_matmul = FusedBitPlaneBackend.matmul
     exact_weights = Chip._exact_weights
 
@@ -95,24 +111,21 @@ def spy(monkeypatch):
         calls["tile_matmuls"] += 1
         return tile_matmul(self, *args, **kwargs)
 
-    def weights(self, plan, temp_c, retention):
-        layer = exact_weights(self, plan, temp_c, retention)
+    def weights(self, plan):
         if isinstance(self.backend, FusedBitPlaneBackend):
-            calls["layer_gemm"].append(layer is not None)
-        return layer
+            calls["layer_gemms"] += 1
+        return exact_weights(self, plan)
 
     monkeypatch.setattr(FusedBitPlaneBackend, "matmul", matmul)
     monkeypatch.setattr(Chip, "_exact_weights", weights)
     return calls
 
 
-def assert_layer_path(spy, fused, banded, forwards=1):
-    """Where the band runs, every layer matmul took the layer GEMM and
-    the backend's tile matmul never ran; elsewhere every tile ran it."""
-    assert spy["layer_gemm"] == [banded] * (
-        forwards * len(fused.program.layers))
-    assert spy["tile_matmuls"] == (
-        0 if banded else forwards * len(fused._programmed))
+def assert_layer_path(spy, fused, forwards=1):
+    """Every layer matmul took the layer GEMM, at every key, and the
+    backend's tile matmul never ran."""
+    assert spy["layer_gemms"] == forwards * len(fused.program.layers)
+    assert spy["tile_matmuls"] == 0
 
 
 class TestDenseOracle:
@@ -126,23 +139,29 @@ class TestDenseOracle:
                              tile_rows=None, tile_cols=None,
                              sigma_vth_fefet=sigma,
                              bits_per_cell=bits_per_cell)
-        banded = temp in GATE[(bits_per_cell, retention)]
-        assert fused.backend.exact_decode(temp, retention) is banded
-        assert_twins_agree(fused, dense, images(), temp, banded)
-        assert_layer_path(spy, fused, banded)
+        exact = temp in GATE[(bits_per_cell, retention)]
+        assert fused.backend.exact_decode(temp, retention) is exact
+        assert_twins_agree(fused, dense, images(), temp)
+        assert_layer_path(spy, fused)
+        if not exact:
+            # Misdecoding digit sums stay uncertified: the band certifies
+            # less than at the fresh reference temperature.
+            assert (certified_share(fused, temp, retention)
+                    < certified_share(fused, 27.0))
 
-    @pytest.mark.parametrize("bits_per_cell, temp, banded",
+    @pytest.mark.parametrize("bits_per_cell, temp, exact",
                              [(1, 27.0, True), (1, 85.0, True),
                               (2, 27.0, True), (2, 85.0, False)])
-    def test_ragged_tiling(self, twins, spy, bits_per_cell, temp, banded):
+    def test_ragged_tiling(self, twins, spy, bits_per_cell, temp, exact):
         """Conv N = 4 splits into 3 + 1 columns and dense N = 5 into
         3 + 2, so single- and multi-column tiles both run the band."""
         fused, dense = twins(build_model(), tile_rows=16, tile_cols=3,
                              sigma_vth_fefet=54e-3,
                              bits_per_cell=bits_per_cell)
         assert {tile.n for tile in fused._programmed.values()} == {1, 2, 3}
-        assert_twins_agree(fused, dense, images(), temp, banded)
-        assert_layer_path(spy, fused, banded)
+        assert fused.backend.exact_decode(temp) is exact
+        assert_twins_agree(fused, dense, images(), temp)
+        assert_layer_path(spy, fused)
 
     def test_two_replica_fleet(self, twins, spy):
         fused, dense = twins(build_model(), tile_rows=16, tile_cols=3,
@@ -152,8 +171,8 @@ class TestDenseOracle:
                   for chip in (fused, dense)]
         x = images(n=2, seed=4)
         for replica, (f, d) in enumerate(zip(*fleets)):
-            assert_twins_agree(f, d, x, 27.0 + 58.0 * replica, True)
-        assert_layer_path(spy, fused, True, forwards=2)
+            assert_twins_agree(f, d, x, 27.0 + 58.0 * replica)
+        assert_layer_path(spy, fused, forwards=2)
 
 
 def scattered(m, n, cols, fixes):
@@ -163,14 +182,15 @@ def scattered(m, n, cols, fixes):
     return out
 
 
-def assert_sources_agree(backend, tile, band, x, bits, temp):
+def assert_sources_agree(backend, tile, band, x, bits, temp,
+                         retention=None):
     """The band's table and the per-instance decode correct ``x``
     identically, bit for bit."""
     decoded = dataclasses.replace(band, table=None)
     want = scattered(x.shape[0], tile.n, *backend.corrections(
-        tile, decoded, x, bits, temp_c=temp))
+        tile, decoded, x, bits, temp_c=temp, retention=retention))
     got = scattered(x.shape[0], tile.n, *backend.corrections(
-        tile, band, x, bits, temp_c=temp))
+        tile, band, x, bits, temp_c=temp, retention=retention))
     assert np.array_equal(got, want)
     return want
 
@@ -184,9 +204,10 @@ def every_pattern(tile):
 
 
 class TestCorrectionSources:
-    """Undrifted keys serve their bands' per-pattern tables; drifted keys
-    and tiles whose table would overflow the variation block budget keep
-    the per-instance decode.  Both give the same corrections."""
+    """Bands serve their per-pattern tables at every key, drifted ones
+    included; tiles whose table would overflow the variation block
+    budget keep the per-instance decode.  Both give the same
+    corrections."""
 
     @pytest.fixture(scope="class")
     def benchmark_fleet(self, twins):
@@ -216,12 +237,21 @@ class TestCorrectionSources:
 
     @pytest.mark.parametrize("temp", (27.0, 85.0))
     def test_drifted_key_decodes_per_instance(self, twins, temp):
+        """A drifted key tabulates its corrections too, and the table
+        corrects every input pattern exactly as the per-instance decode
+        at that key does — off the exact gate (retention 0.8) as on it."""
         fused, dense = twins(build_model(), retention=0.99,
                              sigma_vth_fefet=54e-3)
-        assert_twins_agree(fused, dense, images(), temp, True)
-        for tile in fused._programmed.values():
-            assert fused.backend.guard_band(tile, temp, 0.99).table is None
-            assert fused.backend.guard_band(tile, temp).table is not None
+        assert_twins_agree(fused, dense, images(), temp)
+        fixed = 0
+        for retention in (0.99, 0.8):
+            for tile in fused._programmed.values():
+                band = fused.backend.guard_band(tile, temp, retention)
+                assert band.table is not None
+                fixed += np.count_nonzero(assert_sources_agree(
+                    fused.backend, tile, band, every_pattern(tile),
+                    np.arange(8), temp, retention))
+        assert fixed
 
     def test_wide_rows_past_the_budget_decode_per_instance(self, twins):
         """A 16-cell table spans 2**16 patterns per entry: tiles with more
@@ -231,7 +261,7 @@ class TestCorrectionSources:
         fused, dense = twins(build_model(), cells_per_row=16,
                              tile_rows=None, tile_cols=None,
                              sigma_vth_fefet=54e-3)
-        assert_twins_agree(fused, dense, images(), 27.0, True)
+        assert_twins_agree(fused, dense, images(), 27.0)
         budget = FusedBitPlaneBackend.block_budget_variation
         overflow = 0
         for tile in fused._programmed.values():
@@ -265,12 +295,26 @@ class TestCertificate:
         assert np.array_equal(fused.forward(x, temp_c=temp), served)
 
     def test_gate_failure_runs_no_band(self, twins):
-        fused, _ = twins(build_model(), sigma_vth_fefet=54e-3,
-                         bits_per_cell=2)
-        tile = fused.programmed_tile(0)
-        assert fused.backend.guard_band(tile, 85.0) is None
-        assert fused.backend.guard_band(tile, 27.0, 0.8) is None
-        assert fused.backend.guard_band(tile, 27.0) is not None
+        """Off the exact gate (2 bits at 85 degC, retention 0.8) every
+        tile still gets a band, but no entry whose digit sum holds a
+        reachable misdecoding triple is certified."""
+        for bits_per_cell, temp, retention in ((2, 85.0, None),
+                                               (1, 27.0, 0.8),
+                                               (2, 27.0, 0.8)):
+            fused, _ = twins(build_model(), tile_rows=16, tile_cols=3,
+                             sigma_vth_fefet=54e-3,
+                             bits_per_cell=bits_per_cell)
+            assert not fused.backend.exact_decode(temp, retention)
+            misread = misdecoding_digit_sums(fused, temp, retention)
+            assert misread
+            at_misread = 0
+            for tile in fused._programmed.values():
+                band = fused.backend.guard_band(tile, temp, retention)
+                hit = np.isin(tile.w_counts, misread)
+                assert not band.certified[hit].any()
+                at_misread += int(hit.sum())
+            assert at_misread
+            assert 0.0 < certified_share(fused, temp, retention) < 1.0
 
     def test_nominal_and_dense_run_no_band(self, twins):
         nominal, _ = twins(build_model())

@@ -381,16 +381,15 @@ class TestLifecycle:
                 assert pool.workers[0].thread.is_alive()
         assert np.array_equal(logits, pool.chips[0].forward(later))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("mode", ["sync", "threads", "processes"])
     def test_failed_batch_counts_its_requests(self, nominal, mode):
-        """A NaN request co-batched with a good one fails the batch; the
-        replica and fleet totals count both requests and the batch as
-        failed, and none of them as served."""
+        """A request of the wrong feature count co-batched with a good one
+        fails the batch (the two cannot be stacked); the replica and
+        fleet totals count both requests and the batch as failed, and
+        none of them as served."""
         program, design = nominal
-        good, poisoned = requests(2)
-        poisoned = poisoned.copy()
-        poisoned[0, 3] = np.nan
+        good = requests(1)[0]
+        poisoned = np.ones((1, 20))
         substrate = ({"autostart": False} if mode == "sync"
                      else {"workers": mode})
         with ChipPool(program, design, n_replicas=1, max_batch_size=2,
@@ -414,6 +413,32 @@ class TestLifecycle:
         assert after.totals["failed_requests"] == 2
         assert after.totals["failed_batches"] == 1
         assert after.totals["requests"] == after.totals["batches"] == 1
+
+    @pytest.mark.parametrize("mode", ["sync", "threads", "processes"])
+    def test_non_finite_request_fails_alone(self, nominal, mode):
+        """NaN and infinite requests submitted between two good ones fail
+        on their own tickets and are never queued: the good ones fill one
+        batch and each is served exactly its own forward pass."""
+        program, design = nominal
+        first, second, nan, inf = requests(4)
+        nan[0, 3], inf[0, 5] = np.nan, -np.inf
+        substrate = ({"autostart": False} if mode == "sync"
+                     else {"workers": mode})
+        with ChipPool(program, design, n_replicas=1, max_batch_size=2,
+                      linger_s=5.0, **substrate) as pool:
+            tickets = [pool.submit(x) for x in (first, nan, inf, second)]
+            for ticket in tickets[1:3]:
+                with pytest.raises(ValueError, match="activation codes"):
+                    ticket.result(timeout=0.0)
+            if mode == "sync":
+                pool.step()
+            logits = [tickets[i].result(timeout=30.0).logits for i in (0, 3)]
+            stats = pool.stats()
+        assert stats.totals["requests"] == 2
+        assert stats.totals["batches"] == 1
+        assert stats.totals["failed_requests"] == 0
+        for x, got in zip((first, second), logits):
+            assert np.array_equal(got, pool.chips[0].forward(x))
 
     def test_submit_after_close_rejected(self, nominal):
         program, design = nominal
