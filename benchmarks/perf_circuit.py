@@ -10,12 +10,20 @@ Times the two circuit engines on the paper's heaviest ensemble workloads:
 ``sweep``
     A Fig. 8-style grid: the full MAC ladder (0..n_cells) at every
     temperature corner, again one batched solve versus nested scalar loops.
+``calibration``
+    One 2T-1FeFET MAC unit's calibration on the default temperature grid
+    (24 state-temperature levels and 3 threshold sensitivities), which a
+    ``BitSerialMacUnit`` solves as one batched ensemble, against the same
+    27 reads as scalar ``cell_read_transient`` calls.  Recorded, not
+    gated on speed.
 
-Both engines must agree within the batched engine's documented tolerance
-(``|dV| <= 1e-9 + 1e-7 |V|`` on outputs, see ``repro/circuit/batched.py``);
-the harness exits nonzero if they do not, so the timing comparison is
-always apples-to-apples.  Results land in ``BENCH_circuit.json`` — the
-repo's circuit-engine perf trajectory.
+The ``mc`` and ``sweep`` engines must agree within the batched engine's
+documented tolerance (``|dV| <= 1e-9 + 1e-7 |V|`` on outputs, see
+``repro/circuit/batched.py``), and the calibration must equal its scalar
+reference bit for bit, because every ADC threshold derives from it; the
+harness exits nonzero otherwise, so the timing comparison is always
+apples-to-apples.  Results land in ``BENCH_circuit.json`` — the repo's
+circuit-engine perf trajectory.
 
 Run::
 
@@ -38,7 +46,11 @@ import numpy as np
 
 from repro.analysis.experiments import _array_bands
 from repro.analysis.montecarlo import run_process_variation_mc
-from repro.cells import TwoTOneFeFETCell
+from repro.array import BitSerialMacUnit
+from repro.array.mac_unit import CELL_STATES, SENSITIVITY_KEYS
+from repro.cells import TwoTOneFeFETCell, cell_read_transient
+from repro.constants import REFERENCE_TEMP_C
+from repro.devices.variation import CellVariation
 
 #: Documented scalar/batched equivalence tolerance (repro.circuit.batched).
 RTOL = 1e-7
@@ -49,6 +61,22 @@ def time_call(fn):
     start = time.perf_counter()
     out = fn()
     return time.perf_counter() - start, out
+
+
+def scalar_calibration(design, grid, delta=27e-3):
+    """A unit's levels and sensitivities from 27 scalar read transients."""
+    levels = np.array([
+        [cell_read_transient(design, t, weight_bit=weight,
+                             input_bit=inp).final_voltage("out")
+         for t in grid]
+        for weight, inp in CELL_STATES])
+    base = float(np.interp(REFERENCE_TEMP_C, grid, levels[0]))
+    sens = {which: (cell_read_transient(
+                design, REFERENCE_TEMP_C,
+                variation=CellVariation(**{which: delta}),
+            ).final_voltage("out") - base) / delta
+            for which in SENSITIVITY_KEYS}
+    return levels, sens
 
 
 def run(args):
@@ -118,18 +146,48 @@ def run(args):
         "equivalent_within_tolerance": sweep_equivalent,
     }
 
+    # -- MAC-unit calibration ----------------------------------------------
+    cal_s = {}
+    cal_s["ensemble"], unit = time_call(lambda: BitSerialMacUnit(design))
+    calibration = unit.calibration()
+    grid = calibration.temp_grid_c
+    cal_s["scalar"], (levels, sens) = time_call(
+        lambda: scalar_calibration(design, grid))
+    cal_equal = (np.array_equal(calibration.levels, levels)
+                 and all(calibration.von_sensitivity[k] == sens[k]
+                         for k in SENSITIVITY_KEYS))
+    for engine in ("scalar", "ensemble"):
+        print(f"calibration {engine:>8}: {cal_s[engine]:8.2f} s", flush=True)
+    doc["calibration"] = {
+        "temps_c": list(grid),
+        "reads": levels.size + len(sens),
+        "seconds": {k: round(v, 3) for k, v in cal_s.items()},
+        "speedup_ensemble_vs_scalar": round(
+            cal_s["scalar"] / cal_s["ensemble"], 2),
+        "max_abs_level_diff": float(np.max(np.abs(calibration.levels
+                                                  - levels))),
+        "bitwise_equal": cal_equal,
+    }
+
     out_path = Path(args.out)
     out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"\nmc    batched vs scalar: {mc_speedup:.2f}x\n"
           f"sweep batched vs scalar: "
           f"{doc['sweep']['speedup_batched_vs_scalar']:.2f}x\n"
+          f"calibration ensemble vs scalar: "
+          f"{doc['calibration']['speedup_ensemble_vs_scalar']:.2f}x\n"
           f"equivalent within tolerance: mc={mc_equivalent} "
           f"sweep={sweep_equivalent}\n"
+          f"calibration bitwise equal: {cal_equal}\n"
           f"wrote {out_path}")
 
     if not (mc_equivalent and sweep_equivalent):
         print("ERROR: engines disagree beyond the documented tolerance",
               file=sys.stderr)
+        return 1
+    if not cal_equal:
+        print("ERROR: the ensemble calibration differs from its scalar "
+              "reference", file=sys.stderr)
         return 1
     if args.min_speedup and mc_speedup < args.min_speedup:
         print(f"ERROR: batched-vs-scalar MC speedup {mc_speedup:.2f}x below "

@@ -889,9 +889,9 @@ class FusedBitPlaneBackend(ArrayBackend):
 
         The band also gets the per-pattern :class:`CorrectionTable`
         whenever the build (``2**cells`` patterns times the uncertified
-        entries' cells) fits ``block_budget_variation``, drifted keys
-        included: every tile of a chip reads a key at least once per
-        forward pass.
+        entries' cells, counting at least one entry) fits
+        ``block_budget_variation``, drifted keys included: every tile of a
+        chip reads a key at least once per forward pass.
         """
         cells = programmed.cells
         gain = self.unit.config.sensing.share_gain(cells)
@@ -914,7 +914,10 @@ class FusedBitPlaneBackend(ArrayBackend):
             scale=(programmed.signs[plane].astype(np.int64)
                    << programmed.plane_bits[plane]),
             starts=starts, cols=col[starts])
-        if band.n_uncertified * cells << cells <= self.block_budget_variation:
+        # The ``2**cells`` pattern stack is built even when every entry
+        # certifies; on wide rows it alone overflows memory.
+        if (max(band.n_uncertified, 1) * cells << cells
+                <= self.block_budget_variation):
             band.table = self._correction_table(programmed, band, col,
                                                 temp_c, f)
         return band

@@ -7,8 +7,9 @@ circuit-level row:
 
 1. At construction, the unit runs the real circuit transient for the cell's
    four (weight, input) states across a temperature grid and for perturbed
-   thresholds, yielding interpolated level functions ``V(state, T)`` and a
-   linearized process-variation sensitivity ``dV_on/dV_TH``.
+   thresholds, all as one batched ensemble, yielding interpolated level
+   functions ``V(state, T)`` and a linearized process-variation
+   sensitivity ``dV_on/dV_TH``.
 2. A MAC over a chunk of 8 operands is then: count the (1,1)/(1,0)/(0,1)/
    (0,0) cells, combine level voltages via the eq. (1) charge-sharing gain,
    add per-cell variation contributions, and decode against ADC thresholds
@@ -37,12 +38,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.array.sensing import ChargeSharingSensor, SensingSpec
-from repro.cells.base import cell_read_transient
+from repro.cells.base import READ_DT, read_circuit
+from repro.circuit.batched import transient_simulation_batched
 from repro.constants import REFERENCE_TEMP_C
 from repro.devices.variation import CellVariation
 
 #: (weight, input) cell states in a fixed order.
 CELL_STATES = ((1, 1), (1, 0), (0, 1), (0, 0))
+
+#: Devices whose threshold shift the on-level sensitivity is taken over.
+SENSITIVITY_KEYS = ("fefet_dvth", "m1_dvth", "m2_dvth")
 
 
 @dataclass(frozen=True)
@@ -57,9 +62,10 @@ class MacCalibration:
     inconsistent with its levels.
 
     This is what the compiled-artifact store serializes: constructing a
-    unit from a ``MacCalibration`` skips every circuit transient (the
-    dominant cost of chip bring-up) while staying bit-identical, because
-    all downstream math consumes only these float64 values.
+    unit from a ``MacCalibration`` skips the calibration's batched
+    circuit transient (about 0.1 s of a cold chip bring-up) while
+    staying bit-identical, because all downstream math consumes only
+    these float64 values.
     """
 
     #: Temperature grid the levels were calibrated over (degC).
@@ -120,25 +126,37 @@ class BitSerialMacUnit:
     # calibration against the circuit-level cell
     # ------------------------------------------------------------------
     def _calibrate_levels(self):
-        temps = self.config.temp_grid_c
-        for state in CELL_STATES:
-            weight, inp = state
-            values = [
-                cell_read_transient(self.design, t, weight_bit=weight,
-                                    input_bit=inp).final_voltage("out")
-                for t in temps
-            ]
-            self._levels[state] = np.asarray(values)
-        # Linearized variation sensitivity of the on-level at 27 degC.
+        """Levels and sensitivities from one batched read-transient ensemble.
+
+        The four states' reads at every grid temperature (24 on the
+        default grid) and the three threshold-shifted on-level reads at
+        27 degC share the single-cell read circuit, so they run as one
+        :func:`transient_simulation_batched` call.  The
+        scalar :func:`~repro.cells.base.cell_read_transient` stays the
+        oracle; the test suite asserts the ensemble reproduces it bit for
+        bit.
+        """
+        temps = [float(t) for t in self.config.temp_grid_c]
         delta = 27e-3  # half the paper's sigma: stays in the linear region
+        reads = [(t, weight, inp, None)
+                 for weight, inp in CELL_STATES for t in temps]
+        reads += [(REFERENCE_TEMP_C, 1, 1, CellVariation(**{which: delta}))
+                  for which in SENSITIVITY_KEYS]
+        ensemble = transient_simulation_batched(
+            [read_circuit(self.design, weight_bit=weight, input_bit=inp,
+                          variation=var)
+             for _, weight, inp, var in reads],
+            t_stop=self.design.t_read, dt=READ_DT,
+            temps_c=[t for t, *_ in reads], initial_conditions={"out": 0.0})
+        out = ensemble.final_voltage("out")
+        n_levels = len(CELL_STATES) * len(temps)
+        levels = out[:n_levels].reshape(len(CELL_STATES), len(temps))
+        self._levels = dict(zip(CELL_STATES, levels))
+        # Linearized variation sensitivity of the on-level at 27 degC.
         base = self._level((1, 1), REFERENCE_TEMP_C)
-        sens = {}
-        for which in ("fefet_dvth", "m1_dvth", "m2_dvth"):
-            var = CellVariation(**{which: delta})
-            shifted = cell_read_transient(
-                self.design, REFERENCE_TEMP_C, variation=var).final_voltage("out")
-            sens[which] = (shifted - base) / delta
-        self._von_sensitivity = sens
+        self._von_sensitivity = {
+            which: float((shifted - base) / delta)
+            for which, shifted in zip(SENSITIVITY_KEYS, out[n_levels:])}
 
     def _restore_calibration(self, calibration: MacCalibration):
         """Adopt previously-measured levels instead of running transients.
@@ -161,14 +179,14 @@ class BitSerialMacUnit:
                 f"({len(CELL_STATES)}, {len(grid)}), got {levels.shape}")
         for i, state in enumerate(CELL_STATES):
             self._levels[state] = levels[i].copy()
-        missing = [k for k in ("fefet_dvth", "m1_dvth", "m2_dvth")
+        missing = [k for k in SENSITIVITY_KEYS
                    if k not in calibration.von_sensitivity]
         if missing:
             raise ValueError(
                 f"calibration is missing sensitivities {missing}")
         self._von_sensitivity = {
             k: float(calibration.von_sensitivity[k])
-            for k in ("fefet_dvth", "m1_dvth", "m2_dvth")}
+            for k in SENSITIVITY_KEYS}
 
     def calibration(self) -> MacCalibration:
         """Snapshot this unit's circuit-derived state for serialization.
@@ -189,10 +207,18 @@ class BitSerialMacUnit:
         The MAC hot path asks for levels on every call but NN workloads use
         a handful of distinct temperatures, so the ``np.interp`` work is
         memoized per temperature instead of re-run per state per call.
+        A temperature outside the calibration grid raises ``ValueError``:
+        ``np.interp`` would clamp it and silently serve the nearest grid
+        edge's physics.
         """
         key = float(temp_c)
         table = self._level_cache.get(key)
         if table is None:
+            grid = self.config.temp_grid_c
+            if not min(grid) <= key <= max(grid):
+                raise ValueError(
+                    f"temperature {key} degC is outside the calibration "
+                    f"grid {tuple(float(t) for t in grid)} degC")
             table = {
                 state: float(np.interp(key, self.config.temp_grid_c,
                                        self._levels[state]))

@@ -96,6 +96,10 @@ class CiMCellDesign(abc.ABC):
         return {}
 
 
+#: Fixed backward-Euler timestep of a read transient, seconds.
+READ_DT = 0.05e-9
+
+
 def _build_standalone(design, weight_bit, input_bit, variation, v_out_probe):
     """Single-cell circuit with all lines driven and OUT handled per-probe."""
     bias = design.bias
@@ -133,18 +137,31 @@ def cell_output_current(design, temp_c, *, weight_bit=1, input_bit=1,
     return op.branch_current("VPROBE")
 
 
+def read_circuit(design, *, weight_bit=1, input_bit=1, variation=None,
+                 co_farads=None):
+    """The single-cell read circuit: the standalone cell charging ``C_o``.
+
+    Every read transient — scalar, batched over a design grid, or the MAC
+    unit's calibration ensemble — solves this circuit, so they all share
+    one topology and one set of element values.
+    """
+    variation = variation or CellVariation.nominal()
+    circuit = _build_standalone(design, weight_bit, input_bit, variation, None)
+    circuit.add(Capacitor("CO", "out", "0",
+                          design.co_farads if co_farads is None else co_farads))
+    return circuit
+
+
 def cell_read_transient(design, temp_c, *, weight_bit=1, input_bit=1,
-                        variation=None, co_farads=None, t_read=None, dt=0.05e-9):
+                        variation=None, co_farads=None, t_read=None, dt=READ_DT):
     """Simulate the read (charging) transient of a single cell.
 
     The cell output charges its capacitor ``C_o`` from 0 V for the read
     window; the returned :class:`TransientResult` exposes the ``out``
     waveform and per-source energy.
     """
-    variation = variation or CellVariation.nominal()
-    circuit = _build_standalone(design, weight_bit, input_bit, variation, None)
-    circuit.add(Capacitor("CO", "out", "0",
-                          design.co_farads if co_farads is None else co_farads))
+    circuit = read_circuit(design, weight_bit=weight_bit, input_bit=input_bit,
+                           variation=variation, co_farads=co_farads)
     window = design.t_read if t_read is None else t_read
     return transient_simulation(circuit, t_stop=window, dt=dt, temp_c=temp_c,
                                 initial_conditions={"out": 0.0})
@@ -152,7 +169,7 @@ def cell_read_transient(design, temp_c, *, weight_bit=1, input_bit=1,
 
 def cell_read_transient_batch(cases, *, weight_bit=1, input_bit=1,
                               variation=None, co_farads=None, t_read=None,
-                              dt=0.05e-9):
+                              dt=READ_DT):
     """Batched :func:`cell_read_transient` over a ``(design, temp_c)`` grid.
 
     ``cases`` is an iterable of ``(design, temp_c)`` pairs sharing one cell
@@ -167,25 +184,19 @@ def cell_read_transient_batch(cases, *, weight_bit=1, input_bit=1,
     cases = list(cases)
     if not cases:
         raise ValueError("cell_read_transient_batch needs at least one case")
-    variation = variation or CellVariation.nominal()
     windows = {design.t_read for design, _ in cases} if t_read is None \
         else {t_read}
     if len(windows) > 1:
         raise ValueError("designs disagree on t_read; pass t_read explicitly")
     (window,) = windows
 
-    circuits = []
-    temps = []
-    for design, temp_c in cases:
-        circuit = _build_standalone(design, weight_bit, input_bit,
-                                    variation, None)
-        circuit.add(Capacitor("CO", "out", "0",
-                              design.co_farads if co_farads is None
-                              else co_farads))
-        circuits.append(circuit)
-        temps.append(float(temp_c))
+    circuits = [read_circuit(design, weight_bit=weight_bit,
+                             input_bit=input_bit, variation=variation,
+                             co_farads=co_farads)
+                for design, _ in cases]
     ensemble = transient_simulation_batched(
-        circuits, t_stop=window, dt=dt, temps_c=temps,
+        circuits, t_stop=window, dt=dt,
+        temps_c=[float(temp_c) for _, temp_c in cases],
         initial_conditions={"out": 0.0})
     return [ensemble.member(b) for b in range(len(cases))]
 

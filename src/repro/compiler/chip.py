@@ -281,9 +281,9 @@ class Chip:
         self.program = program
         self.design = design
         mapping = program.mapping
-        # ``unit`` reuses an already-calibrated MAC unit (circuit-level
-        # calibration is the expensive part of chip bring-up); the caller
-        # guarantees it matches the mapping's bits/sigma/backend.
+        # ``unit`` reuses an already-calibrated MAC unit, skipping its
+        # batched circuit calibration; the caller guarantees it matches
+        # the mapping's bits/sigma/backend.
         self.unit = unit or BitSerialMacUnit(design, BehavioralMacConfig(
             cells_per_row=mapping.cells_per_row,
             bits_x=mapping.bits,
@@ -356,10 +356,10 @@ class Chip:
         from: every later replica meters through replica 0's estimator
         (``first.meter.estimator``), so the fleet shares one pricing model.
 
-        All replicas share replica 0's calibrated MAC unit (circuit-level
-        calibration is the expensive part of bring-up, and per-temperature
-        level/decode caches are idempotent, so concurrent replica workers
-        may share them safely) *and* its tiles' bit-plane decomposition —
+        All replicas share replica 0's calibrated MAC unit (one circuit
+        calibration per fleet, and per-temperature level/decode caches
+        are idempotent, so concurrent replica workers may share them
+        safely) *and* its tiles' bit-plane decomposition —
         the decomposition is weight-determined, so later replicas only
         redraw the per-cell threshold offsets instead of re-programming
         from scratch.  Each replica gets its *own* meter, so per-replica

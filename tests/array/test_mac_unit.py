@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from repro.array import BehavioralMacConfig, BitSerialMacUnit, MacRow
-from repro.cells import FeFET1RCell, TwoTOneFeFETCell
+from repro.array.mac_unit import CELL_STATES, SENSITIVITY_KEYS
+from repro.cells import (
+    FeFET1RCell,
+    FeFET1TCell,
+    TwoTOneFeFETCell,
+    cell_read_transient,
+)
+from repro.constants import REFERENCE_TEMP_C
+from repro.devices.variation import CellVariation
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +123,74 @@ class TestVariationAndDrift:
         assert np.array_equal(base.binary_matmul(x, w, temp_c=27.0), ideal)
         hot = base.binary_matmul(x, w, temp_c=85.0)
         assert not np.array_equal(hot, ideal)
+
+
+class TestEnsembleCalibration:
+    """The unit solves its calibration reads as one batched ensemble.
+    The batched engine only promises solver tolerance, so the scalar
+    read transient is the oracle, bit for bit: a host whose LAPACK makes
+    the ensemble differ fails here instead of shifting every ADC
+    threshold."""
+
+    @staticmethod
+    def scalar_calibration(design, grid):
+        """Levels and sensitivities from one scalar read per member."""
+        levels = np.array([
+            [cell_read_transient(design, t, weight_bit=weight,
+                                 input_bit=inp).final_voltage("out")
+             for t in grid]
+            for weight, inp in CELL_STATES])
+        delta = 27e-3
+        base = float(np.interp(REFERENCE_TEMP_C, grid, levels[0]))
+        sens = {
+            which: (cell_read_transient(
+                design, REFERENCE_TEMP_C,
+                variation=CellVariation(**{which: delta}),
+            ).final_voltage("out") - base) / delta
+            for which in SENSITIVITY_KEYS}
+        return levels, sens
+
+    @pytest.mark.parametrize("grid", [BehavioralMacConfig().temp_grid_c,
+                                      (-10.0, 27.0, 50.0, 100.0)],
+                             ids=["default-grid", "wide-grid"])
+    @pytest.mark.parametrize("design", [TwoTOneFeFETCell(), FeFET1RCell(),
+                                        FeFET1TCell()],
+                             ids=lambda design: design.name)
+    def test_matches_scalar_reads(self, design, grid):
+        calibration = BitSerialMacUnit(
+            design, BehavioralMacConfig(temp_grid_c=grid)).calibration()
+        levels, sens = self.scalar_calibration(design, grid)
+        assert np.array_equal(calibration.levels, levels)
+        for which in SENSITIVITY_KEYS:
+            assert calibration.von_sensitivity[which] == sens[which]
+
+
+class TestTemperatureDomain:
+    """Levels are interpolated over the calibration grid and never
+    extrapolated: ``np.interp`` would clamp, serving the nearest edge's
+    physics without a word."""
+
+    @pytest.mark.parametrize("temp", [120.0, -40.0])
+    def test_outside_the_grid_raises(self, unit, temp):
+        x = np.ones((1, 8), dtype=int)
+        w = np.ones((8, 1), dtype=int)
+        with pytest.raises(ValueError, match="outside the calibration grid"):
+            unit.levels_at(temp)
+        with pytest.raises(ValueError, match=f"{temp} degC"):
+            unit.binary_matmul(x, w, temp_c=temp)
+
+    @pytest.mark.parametrize("edge", [0, -1], ids=["0C", "85C"])
+    def test_grid_edges_serve(self, unit, edge):
+        temp = unit.config.temp_grid_c[edge]
+        levels = unit.calibration().levels[:, edge]
+        assert unit.levels_at(temp) == tuple(levels)
+        rng = np.random.default_rng(6)
+        x = rng.integers(0, 2, size=(4, 16))
+        w = rng.integers(0, 2, size=(16, 3))
+        assert np.array_equal(unit.binary_matmul(x, w, temp_c=temp), x @ w)
+
+    def test_grid_must_reach_the_reference_temperature(self):
+        """The ADC thresholds are calibrated at 27 degC."""
+        with pytest.raises(ValueError, match="27.0 degC"):
+            BitSerialMacUnit(TwoTOneFeFETCell(), BehavioralMacConfig(
+                temp_grid_c=(40.0, 60.0, 85.0)))

@@ -1,9 +1,8 @@
 """Shared fixtures for the compiler suites.
 
-Circuit calibration is the expensive part of bringing up a chip, so the
-suites that compare a fused chip against its dense twin restore the
-session-wide ``calibrations`` (``tests/conftest.py``) instead of
-calibrating per module.
+The suites that compare a fused chip against its dense twin restore the
+session-wide ``calibrations`` (``tests/conftest.py``) instead of running
+a circuit calibration per module.
 """
 
 import pytest

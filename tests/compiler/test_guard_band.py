@@ -271,6 +271,26 @@ class TestCorrectionSources:
             overflow += over
         assert overflow
 
+    def test_fully_certified_wide_rows_build_no_table(self, twins):
+        """The benchmark model on 32-cell rows at sigma = 1 mV: a table
+        spans 2**32 patterns per entry, so no band carries one, not even
+        a band that certifies every entry (sizing that table by its zero
+        uncertified entries once asked for 32 GiB).  The entries left
+        uncertified at 85 degC decode per instance."""
+        model, requests = build_serving_workload(3, width=4, image_size=8,
+                                                 seed=0)
+        uncertified = {}
+        for temp in (0.0, 27.0, 85.0):
+            fused, dense = twins(model, cells_per_row=32, tile_rows=64,
+                                 sigma_vth_fefet=1e-3)
+            assert_twins_agree(fused, dense, np.concatenate(requests), temp)
+            bands = [fused.backend.guard_band(tile, temp)
+                     for tile in fused._programmed.values()]
+            assert all(band.table is None for band in bands)
+            uncertified[temp] = sum(band.n_uncertified for band in bands)
+        assert uncertified[27.0] == 0
+        assert uncertified[85.0]
+
 
 class TestCertificate:
     @pytest.mark.parametrize("temp", TEMPS)

@@ -7,9 +7,9 @@ or pollute it, so every test gets a private cache via ``REPRO_CACHE_DIR``.
 ``tests/nn/_legacy_executor.py`` — the reference semantics the
 compile-and-serve equivalence suites compare against.
 
-``calibrations`` holds one circuit calibration per cell design: circuit
-calibration is the expensive part of bringing up a chip, and a unit that
-restores one computes exactly what the calibrated unit computes.
+``calibrations`` holds one circuit calibration per cell design, so the
+suites skip a batched circuit transient per unit: a unit that restores
+one computes exactly what the calibrated unit computes.
 """
 
 import importlib.util

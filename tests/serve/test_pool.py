@@ -440,6 +440,32 @@ class TestLifecycle:
         for x, got in zip((first, second), logits):
             assert np.array_equal(got, pool.chips[0].forward(x))
 
+    @pytest.mark.parametrize("mode", ["sync", "threads", "processes"])
+    def test_out_of_grid_temperature_fails_alone(self, nominal, mode):
+        """A 120 degC request is outside the 0-85 degC calibration grid:
+        it fails on its own ticket instead of being served 85 degC
+        physics, and a 27 degC request in flight beside it is served
+        exactly its own forward pass."""
+        program, design = nominal
+        hot, good = requests(2)
+        substrate = ({"autostart": False} if mode == "sync"
+                     else {"workers": mode})
+        with ChipPool(program, design, n_replicas=1, max_batch_size=2,
+                      **substrate) as pool:
+            tickets = [pool.submit(hot, temp_c=120.0),
+                       pool.submit(good, temp_c=27.0)]
+            if mode == "sync":
+                while pool.step():
+                    pass
+            with pytest.raises(ValueError, match="calibration grid"):
+                tickets[0].result(timeout=30.0)
+            logits = tickets[1].result(timeout=30.0).logits
+            stats = pool.stats()
+        assert stats.totals["failed_requests"] == 1
+        assert stats.totals["failed_batches"] == 1
+        assert stats.totals["requests"] == 1
+        assert np.array_equal(logits, pool.chips[0].forward(good, temp_c=27.0))
+
     def test_submit_after_close_rejected(self, nominal):
         program, design = nominal
         pool = ChipPool(program, design, n_replicas=1, autostart=False)
