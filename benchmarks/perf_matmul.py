@@ -11,10 +11,10 @@ workload shape of one Table-I VGG conv layer lowered via im2col):
     program once, run the reference per-plane-pair kernel per batch.
 ``fused``
     Weight-stationary :class:`~repro.array.backend.FusedBitPlaneBackend`:
-    program once, batched BLAS plane counts + cached per-temperature
-    LUT decode per batch.  At ``bits_per_cell > 1`` it decodes each
-    distinct chunk input pattern of the batch once instead of every
-    (activation bit, row), so its time tracks the distinct patterns.
+    program once, then per batch decode each distinct chunk input
+    pattern once — one BLAS pass for its LUT addresses and a gather
+    from the cached per-temperature LUT — instead of every (activation
+    bit, row), so its time tracks the distinct patterns.
 
 All three must produce bit-identical decoded outputs (the harness exits
 nonzero if they do not), so the timing comparison is apples-to-apples.
@@ -26,7 +26,8 @@ of every distinct pattern shrinks proportionally.  The 1-bit row of the
 sweep must stay bit-identical to the binary fused baseline (asserted),
 every multibit row must agree dense-vs-fused bitwise, and
 ``--min-mlc-speedup`` gates the 2-bit row's per-batch speedup over the
-single-bit fused kernel.
+1-bit row.  Every row runs the same pattern decode, so that speedup is
+the saving of the fewer digit planes alone.
 
 A variation row programs the same weights at the paper's
 sigma_VTH = 54 mV (its Fig. 9) and times the fused tile, served through

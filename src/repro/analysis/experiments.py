@@ -61,6 +61,13 @@ from repro.runtime.registry import experiment
 CORNER_TEMPS_C = (0.0, REFERENCE_TEMP_C, 85.0)
 
 
+def _calibration_grid(grid, temps_c):
+    """A MAC unit's calibration grid: ``grid`` joined with the requested
+    temperatures, so every one of them reads simulated levels (a unit
+    refuses temperatures outside its grid)."""
+    return tuple(sorted({*map(float, grid), *map(float, temps_c)}))
+
+
 # ----------------------------------------------------------------------
 # Fig. 1 — device characteristics
 # ----------------------------------------------------------------------
@@ -333,7 +340,8 @@ def mac_decode_errors(temps_c=(0.0, 27.0, 55.0, 85.0), seed=0, n_vectors=64):
     for label, design in (("2T-1FeFET", TwoTOneFeFETCell()),
                           ("1FeFET-1R sub", FeFET1RCell.subthreshold())):
         unit = BitSerialMacUnit(design, BehavioralMacConfig(
-            bits_x=1, bits_w=1, temp_grid_c=(0.0, 27.0, 55.0, 85.0)))
+            bits_x=1, bits_w=1,
+            temp_grid_c=_calibration_grid((0.0, 27.0, 55.0, 85.0), temps_c)))
         rates = {}
         for temp in temps_c:
             got = unit.binary_matmul(x, w, temp_c=float(temp))
@@ -440,7 +448,8 @@ def mlc_temperature(bits_per_cell=(2, 3), temps_c=CORNER_TEMPS_C, seed=0,
         fluct = float(np.max(np.abs(programmed_levels / ref - 1.0)))
         inl = max(cal.inl_lsb_at(t) for t in temps)
         unit = BitSerialMacUnit(design, BehavioralMacConfig(
-            bits_per_cell=int(b)))
+            bits_per_cell=int(b), temp_grid_c=_calibration_grid(
+                BehavioralMacConfig.temp_grid_c, temps)))
         programmed = unit.backend.program(w)
         ideal = unit.ideal_matmul(x, w)
         exact = {}

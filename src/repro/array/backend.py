@@ -30,22 +30,24 @@ implementations ship:
     decodes separately.
 
 :class:`FusedBitPlaneBackend`
-    Stacks all weight planes along a plane axis and computes every
-    (activation-bit, weight-plane) pair in one batched BLAS matmul.  For
-    nominal (zero-variation) arrays the whole analog-decode chain collapses
-    into a cached per-temperature integer lookup table indexed by the
-    ``(n11, weight-count, activation-count)`` triple, because the eq. (1)
-    accumulation voltage is affine in those three integers.  Decoded
-    outputs are bit-identical to the dense backend (the equivalence suite
-    enforces this), typically several times faster, and the LUT caches make
-    repeated temperature sweeps nearly free.  Arrays with programmed-in
-    variation serve through a *certified guard band* at every temperature
-    and retention: every (plane, chunk, column) entry whose worst-case
-    variation offset stays inside the decode bucket of its exact count
-    provably decodes that count, so the tile runs as one float64 GEMM of
-    its weight codes plus integer corrections of only the other entries —
-    read from a per-input-pattern table where it fits the block budget,
-    decoded explicitly per instance otherwise.
+    Without per-cell variation the eq. (1) accumulation voltage is affine
+    in a chunk's ``(S11, W, n_x1)`` count triple, so the whole
+    analog-decode chain collapses into a cached per-``(temp_c,
+    retention)`` integer lookup table, and a chunk's decoded count
+    depends only on its input bit pattern.  A nominal tile therefore
+    decodes each distinct chunk input pattern of a matmul once, however
+    many (activation bit, row) instances drive it.  Arrays with
+    programmed-in variation serve through a *certified guard band* at
+    every temperature and retention: every (plane, chunk, column) entry
+    whose worst-case variation offset stays inside the decode bucket of
+    its exact count provably decodes that count, so the tile runs as one
+    float64 GEMM of its weight codes plus integer corrections of only the
+    other entries — read from a per-input-pattern table where it fits
+    the block budget, decoded explicitly per instance otherwise.  A
+    nominal tile whose rows are too wide to enumerate their patterns
+    runs the same band with every offset zero.  Decoded outputs are
+    bit-identical to the dense backend (the equivalence suite enforces
+    this).
 
 Both backends share :meth:`ArrayBackend.program`, so identical RNGs yield
 identical per-cell variation draws — the foundation of the dense-vs-fused
@@ -59,16 +61,15 @@ With ``bits_per_cell = b > 1`` each cell stores a digit ``d`` in
 the digit, ``V(d, x=1, T) = V_01 + d * s_on(T)`` and ``V(d, x=0, T) =
 V_00 + d * s_off(T)``, with the endpoints anchored at the binary-cell
 states.  The plane schedule shrinks from ``bits_w - 1`` magnitude bit
-planes to ``ceil((bits_w - 1) / b)`` digit planes.  The fused backend
-decodes a nominal multibit tile once per distinct chunk input pattern
-rather than once per (activation bit, row): the plane count multiplies
-only the distinct patterns' decode, and batches whose im2col rows repeat
-patterns (most conv layers) decode far fewer LUT addresses than they
-have instances.  Because the digit expression reduces *algebraically but
-not float-bitwise* to the binary expression at ``b = 1``, the single-bit
-code paths below are kept literally unchanged and the digit paths only
-run for ``b > 1`` — which is what keeps ``bits_per_cell=1`` bit-identical
-to the seed on every backend.
+planes to ``ceil((bits_w - 1) / b)`` digit planes.  The digit expression
+reduces *algebraically but not float-bitwise* to the binary expression
+at ``b = 1``, so the two places that evaluate eq. (1) on nominal counts
+— the dense backend and the fused voltage grid
+(:meth:`FusedBitPlaneBackend._voltage_grid`) — keep the binary
+expression for ``b = 1``, which holds ``bits_per_cell=1`` bit-identical
+to the seed on every backend.  Everything downstream of that voltage
+(the decode table, the pattern decode, the guard band) treats every
+``b`` alike.
 """
 
 from __future__ import annotations
@@ -238,8 +239,8 @@ class ProgrammedArray:
     cells perturb the accumulation voltage, and a partially-programmed
     multibit cell perturbs in proportion to its level fraction ``d / D``).
     It is ``None`` for nominal arrays.  ``cache`` is backend-private
-    precompute storage (e.g. the fused backend's transposed float32 plane
-    stack).
+    precompute storage (e.g. the fused backend's float32 pattern-decode
+    weight stack).
     """
 
     k: int                    # logical rows of the weight matrix
@@ -346,7 +347,7 @@ class CorrectionTable:
 
 @dataclass(eq=False)
 class GuardBand:
-    """Certified guard band of one tile with variation at one key.
+    """Certified guard band of one tile at one key.
 
     An entry (plane, chunk, column) is *certified* when both worst-case
     variation offsets, ``gain * sum(max(f * w_dv, 0))`` upward and
@@ -358,7 +359,10 @@ class GuardBand:
     that product.  The arrays below describe them, ordered by column, for
     the explicit per-instance decode; ``table`` holds the same corrections
     per input pattern where the table fits the variation block budget
-    (``None`` otherwise).  A band is never modified once built.
+    (``None`` otherwise).  A nominal tile too wide for the pattern decode
+    gets a *zero-offset band*, certified with every offset (``dv``) zero:
+    it leaves uncertified only the entries at digit sums the nominal
+    decode can misread.  A band is never modified once built.
     """
 
     certified: np.ndarray     # (P, chunks, n) bool
@@ -489,8 +493,7 @@ class ArrayBackend:
         if sigma_cell > 0 and w_planes.shape[0]:
             rng = rng or np.random.default_rng(cfg.seed)
             dv = rng.normal(0.0, sigma_cell, size=w_planes.shape)
-            w_dv = (w_planes * dv if bits_per_cell == 1
-                    else (w_planes / digit_max) * dv)
+            w_dv = (w_planes / digit_max) * dv
 
         return ProgrammedArray(
             k=k, n=n, cells=cells, chunks=chunks, bits_x=cfg.bits_x,
@@ -512,8 +515,7 @@ class ArrayBackend:
             return programmed
         rng = rng or np.random.default_rng(self.unit.config.seed)
         dv = rng.normal(0.0, sigma_cell, size=programmed.w_planes.shape)
-        w_dv = (programmed.w_planes * dv if programmed.bits_per_cell == 1
-                else (programmed.w_planes / programmed.digit_max) * dv)
+        w_dv = (programmed.w_planes / programmed.digit_max) * dv
         return ProgrammedArray(
             k=programmed.k, n=programmed.n, cells=programmed.cells,
             chunks=programmed.chunks, bits_x=programmed.bits_x,
@@ -671,27 +673,31 @@ class DenseNumpyBackend(ArrayBackend):
         return result
 
 
+#: Widest row (cells) the fused pattern decode serves.  Past it the
+#: per-chunk ``2**cells`` pattern bitmap and its ``cumsum`` dominate the
+#: decode, so wider nominal tiles run a zero-offset guard band instead.
+_PATTERN_CELLS = 16
+
+
 class FusedBitPlaneBackend(ArrayBackend):
-    """Fused kernel: all plane pairs in one batched matmul + one decode.
+    """Fused kernel: one decode per distinct chunk input pattern.
 
     Exploits two structural facts of the bit-serial pipeline:
 
-    1. The only inter-cell coupling is the ``n11`` conducting-cell count
-       per (activation-plane, weight-plane, chunk, column).  Stacking the
-       activation planes along the row axis and the weight planes along the
-       column axis turns *all* pair counts into one chunk-batched BLAS
-       matmul (float32 is exact: every product and partial sum is a small
-       integer).
-    2. Without per-cell variation the eq. (1) accumulation voltage is an
-       affine function of the integer triple ``(n11, weight-count,
-       activation-count)``, each bounded by the 8-cell row — so the whole
-       level-combine + ADC-decode chain is a ``(cells+1)^3`` lookup table,
-       built once per temperature with exactly the dense backend's float
-       expression (hence bit-identical decodes) and cached.  A chunk's
-       decoded count then depends only on its input bit pattern, so
-       multibit tiles (:meth:`_decode_patterns`) decode each distinct
-       (chunk, pattern) of a matmul once and shift-add the result back
-       over every (activation bit, row) that drove it.
+    1. Without per-cell variation the eq. (1) accumulation voltage is an
+       affine function of the integer triple ``(S11, W, n_x1)`` — the
+       input-gated digit sum, the stored digit sum and the high-input
+       count of a chunk, each bounded by the row — so the whole
+       level-combine + ADC-decode chain is a flat lookup table, built
+       once per ``(temp_c, retention)`` with exactly the dense backend's
+       float expression (hence bit-identical decodes) and cached.
+    2. With fixed thresholds a chunk's decoded count then depends only
+       on its ``cells`` input bits, so :meth:`_decode_patterns` decodes
+       each distinct (chunk, pattern) of a matmul once — its LUT
+       addresses out of one float32 BLAS pass, exact because every
+       address is a small integer — and shift-adds the result back over
+       every (activation bit, row) that drove it.  Nominal tiles of up
+       to :data:`_PATTERN_CELLS` cells per row take this decode.
 
     Arrays with programmed-in variation carry a continuous offset, so the
     LUT shortcut does not apply.  At every key the certified guard band
@@ -701,20 +707,22 @@ class FusedBitPlaneBackend(ArrayBackend):
     from a per-pattern :class:`CorrectionTable` (the second fact again,
     with the variation draw frozen) or, on tiles too wide to tabulate,
     decoded per instance with the dense expression's float operations.
+    Nominal tiles with wider rows run the same band with every offset
+    zero, so only entries at digit sums the nominal decode can misread
+    are decoded.
 
-    Nominal work is blocked over activation rows (over chunks on the
-    multibit pattern decode) to bound peak memory (``block_budget``
-    intermediate elements per block).
+    The pattern decode is blocked over chunks, the per-instance decode
+    over activation rows and uncertified entries, to bound peak memory.
     """
 
     name = "fused"
 
-    #: Max elements of the (bits_x, M_block, P, chunks, n) intermediate
-    #: (of each per-block intermediate on the pattern decode).
+    #: Max elements of each per-block intermediate of the pattern decode.
     #: A guard band's decodes materialize several float64 tensors per
     #: uncertified entry and cell, so they get a smaller budget, which
     #: bounds the correction-table build (``2**cells`` patterns times the
-    #: uncertified entries' cells) and the per-instance decode's blocks.
+    #: uncertified entries' cells) and the per-instance decode's
+    #: (row, entry) blocks.
     block_budget = 16 * 2 ** 20
     block_budget_variation = 4 * 2 ** 20
     #: Drifted ``(temp_c, retention)`` keys kept cached, with their bands'
@@ -796,16 +804,15 @@ class FusedBitPlaneBackend(ArrayBackend):
         return (gain * (s11 * von + n10 * z10 + n01 * z01
                         + n00 * z00)).ravel()
 
-    def _nominal_vacc(self, s11, w_sum, n_x1, temp_c, f):
+    def _nominal_vacc(self, grid, s11, w_sum, n_x1):
         """Nominal voltage of chunks with counts ``(S11, W, n_x1)`` (floats
-        holding integers), gathered from :meth:`_voltage_grid`, whose
+        holding integers), gathered from a :meth:`_voltage_grid`, whose
         expression yields it elementwise: bitwise the dense value, at a
         fraction of the passes over large arrays."""
         cells = self.unit.config.cells_per_row
         d = (1 << getattr(self.unit.config, "bits_per_cell", 1)) - 1
         address = (s11 * (cells * d + 1) + w_sum) * (cells + 1) + n_x1
-        return np.take(self._voltage_grid(temp_c, f),
-                       address.astype(np.intp))
+        return np.take(grid, address.astype(np.intp))
 
     def _build_record(self, temp_c, f):
         """Decode every ``(S11, W, n_x1)`` address once: the LUT, the exact
@@ -860,18 +867,23 @@ class FusedBitPlaneBackend(ArrayBackend):
 
     # -- certified guard band --------------------------------------------
     def guard_band(self, programmed, temp_c, retention=None):
-        """The certified :class:`GuardBand` of a tile with programmed-in
-        variation at ``(temp_c, retention)``; ``None`` on nominal tiles
-        (they decode through the LUT).
+        """The certified :class:`GuardBand` of ``programmed`` at
+        ``(temp_c, retention)``, or ``None`` on a nominal tile the pattern
+        decode serves (:meth:`_decode_patterns`).
 
-        Every key gets a band: where the nominal decode misreads, it
-        certifies no entry at the affected digit sums.  The band is cached
-        per tile in the key's :class:`DecodeRecord` and held weakly, so a
-        replica with its own variation draw gets its own certificate and
-        a dropped chip frees its bands.  (``ProgrammedArray.cache`` is
-        shared between such replicas, so it cannot hold them.)
+        A tile with programmed-in variation gets a band at every key:
+        where the nominal decode misreads, it certifies no entry at the
+        affected digit sums.  A nominal tile with rows too wide for the
+        pattern decode gets a zero-offset band, which certifies every
+        entry at a digit sum that decodes exactly with margin to spare.
+        The band is cached per tile in the key's :class:`DecodeRecord`
+        and held weakly, so a replica with its own variation draw gets
+        its own certificate and a dropped chip frees its bands.
+        (``ProgrammedArray.cache`` is shared between such replicas, so it
+        cannot hold them.)
         """
-        if programmed.w_dv is None:
+        if (programmed.w_dv is None
+                and "w_aug" in self._weight_stack(programmed)):
             return None
         f = retention_fraction(retention)
         record = self._record(temp_c, f)
@@ -885,7 +897,8 @@ class FusedBitPlaneBackend(ArrayBackend):
 
     def _certify(self, programmed, margin, temp_c, f):
         """Build the :class:`GuardBand` of ``programmed`` against the
-        per-``W`` ``margin`` at ``temp_c`` and retention fraction ``f``.
+        per-``W`` ``margin`` at ``temp_c`` and retention fraction ``f``
+        (with zero offsets on a nominal tile).
 
         The band also gets the per-pattern :class:`CorrectionTable`
         whenever the build (``2**cells`` patterns times the uncertified
@@ -895,8 +908,10 @@ class FusedBitPlaneBackend(ArrayBackend):
         """
         cells = programmed.cells
         gain = self.unit.config.sensing.share_gain(cells)
+        w_dv = (np.zeros(programmed.w_planes.shape) if programmed.w_dv is None
+                else programmed.w_dv)
         # The same retention scaling the explicit decode applies.
-        dv = (programmed.w_dv if f is None else f * programmed.w_dv)
+        dv = w_dv if f is None else f * w_dv
         w_sum = programmed.w_counts.astype(np.intp)
         rise = gain * np.maximum(dv, 0.0).sum(axis=2)
         fall = gain * np.maximum(-dv, 0.0).sum(axis=2)
@@ -937,8 +952,8 @@ class FusedBitPlaneBackend(ArrayBackend):
         patterns = ((np.arange(1 << cells)[:, None] >> np.arange(cells))
                     & 1).astype(np.float64)                # (2**cells, e)
         n11 = patterns @ band.digits.T          # (2**cells, u), exact
-        vacc = self._nominal_vacc(n11, band.w_sum,
-                                  patterns.sum(axis=1)[:, None], temp_c, f)
+        vacc = self._nominal_vacc(self._voltage_grid(temp_c, f), n11,
+                                  band.w_sum, patterns.sum(axis=1)[:, None])
         vacc = vacc + gain * _pattern_offsets(patterns, band.dv,
                                               programmed.n)
         fixes = ((self.unit.sensor.decode(vacc) - n11.astype(np.int64))
@@ -981,78 +996,35 @@ class FusedBitPlaneBackend(ArrayBackend):
         return np.int16 if top <= np.iinfo(np.int16).max else np.int32
 
     def _weight_stack(self, programmed):
-        """Backend-private precompute on the programmed array (cached)."""
+        """The pattern decode's weight stack of a nominal tile (cached).
+
+        Each distinct chunk input pattern, augmented with two constant
+        inputs, gets its whole flat LUT address ``S11 * stride + W *
+        (cells + 1) + n_x1`` per (column, plane) out of one sgemm against
+        ``w_aug``; its columns are ordered (n, P) so the plane fold
+        reduces the contiguous axis.  Built only on rows of at most
+        :data:`_PATTERN_CELLS` cells whose every address is exact in
+        float32; other tiles get a stack without ``w_aug`` and serve on
+        a zero-offset guard band.
+        """
         stack = programmed.cache.get("fused")
         if stack is None:
             p, chunks, cells, n = programmed.w_planes.shape
-            dtype = self._index_dtype(cells, programmed.digit_max)
-            # (chunks, cells, P*n) float32 for the chunk-batched matmul.
-            # Digits up to 7 (and their chunk partial sums) are exactly
-            # representable, so float32 BLAS stays exact for every b.
-            w32 = np.ascontiguousarray(
-                programmed.w_planes.transpose(1, 2, 0, 3)
-                .reshape(chunks, cells, p * n), dtype=np.float32)
-            # Digit-sum index term of the LUT address, premultiplied by
-            # the W-axis stride (cells + 1 for every bits_per_cell).
-            wc9 = (programmed.w_counts.astype(dtype)
-                   * dtype(programmed.cells + 1))
-            stack = {"w32": w32, "wc9": wc9, "idx_dtype": dtype}
             levels = cells * programmed.digit_max + 1   # S11 or W values
             stride = levels * (cells + 1)
-            if (programmed.bits_per_cell > 1
-                    and max(1 << cells, levels * stride) <= 2 ** 24):
-                # Multibit pattern decode (:meth:`_decode_patterns`):
-                # each distinct chunk input pattern, augmented with two
-                # constant inputs, gets its whole flat LUT address
-                # ``S11 * stride + wc9 + n_x1`` per (column, plane) out
-                # of one sgemm against this stack.  Columns are ordered
-                # (n, P) so the plane fold reduces the contiguous axis.
-                # Built only where a chunk's pattern table (2**cells
-                # entries) fits the default block budget and every
-                # address (29240 at most for b = 3, cells = 8) is exact
-                # in float32: at most 24 cells per row.  Wider multibit
-                # tiles, like the single-bit ones, take the integer index
-                # arithmetic of :meth:`_decode_nominal`.
+            stack = {}
+            if cells <= _PATTERN_CELLS and levels * stride <= 2 ** 24:
                 w_aug = np.empty((chunks, cells + 2, n, p), np.float32)
                 w_aug[:, :cells] = (programmed.w_planes.transpose(1, 2, 3, 0)
                                     * np.float32(stride))
-                w_aug[:, cells] = wc9.transpose(1, 2, 0)
+                w_aug[:, cells] = (programmed.w_counts.transpose(1, 2, 0)
+                                   * np.float32(cells + 1))
                 w_aug[:, cells + 1] = 1.0
                 stack["w_aug"] = w_aug.reshape(chunks, cells + 2, n * p)
+                stack["idx_dtype"] = self._index_dtype(
+                    cells, programmed.digit_max)
             programmed.cache["fused"] = stack
         return stack
-
-    def _x_stack(self, programmed, x_codes):
-        """Activation bit planes for a row block: (bits_x, Mb, chunks, cells).
-
-        Called per row block (not on the whole batch) so the int64 plane
-        intermediate stays inside the block memory budget.
-        """
-        bits_x = programmed.bits_x
-        m = x_codes.shape[0]
-        shifts = np.arange(bits_x, dtype=np.int64)
-        planes = ((x_codes[:, :, None] >> shifts) & 1)      # (Mb, k_pad, Bx)
-        planes = planes.reshape(m, programmed.chunks, programmed.cells,
-                                bits_x)
-        x32 = np.ascontiguousarray(planes.transpose(3, 0, 1, 2),
-                                   dtype=np.float32)
-        n_x1 = np.ascontiguousarray(
-            planes.sum(axis=2).transpose(2, 0, 1))          # (Bx, Mb, chunks)
-        return x32, n_x1
-
-    def _pair_counts(self, programmed, x32_block, w32):
-        """``n11`` for every plane pair via one chunk-batched matmul.
-
-        Returns float32 of shape (Bx, Mb, P, chunks, n); every value is an
-        exactly-representable small integer.
-        """
-        bx, mb, chunks, cells = x32_block.shape
-        p, n = programmed.n_planes, programmed.n
-        xt = np.ascontiguousarray(
-            x32_block.transpose(2, 0, 1, 3)).reshape(chunks, bx * mb, cells)
-        prod = np.matmul(xt, w32)                   # (chunks, Bx*Mb, P*n)
-        return (prod.reshape(chunks, bx, mb, p, n)
-                .transpose(1, 2, 3, 0, 4))
 
     # -- compute ---------------------------------------------------------
     def matmul(self, programmed, x_codes, *, temp_c, active_bits=None,
@@ -1063,50 +1035,26 @@ class FusedBitPlaneBackend(ArrayBackend):
         result = np.zeros((m, programmed.n))
         if not programmed.n_planes or m == 0:
             return result
-
-        bits_x = programmed.bits_x
-        active_x = self._active_x_bits(programmed, x_codes, active_bits)
-        if not active_x.any():
+        bits = np.flatnonzero(
+            self._active_x_bits(programmed, x_codes, active_bits))
+        if not bits.size:
             return result
         band = self.guard_band(programmed, temp_c, f)
-        if band is not None:
-            # A certified entry decodes ``S11`` for every activation bit,
-            # so the active bits' shift-add is the exact product plus the
-            # uncertified entries' corrections.  Every term is an integer
-            # below ``2**53``: bit-identical to the dense backend.
-            bits = np.flatnonzero(active_x)
-            mask = int(np.sum(np.left_shift(1, bits)))
-            result = ((x_codes & mask).astype(np.float64)
-                      @ self._tile_weights(programmed))
-            if band.n_uncertified:
-                cols, fixes = self.corrections(programmed, band, x_codes,
-                                               bits, temp_c=temp_c,
-                                               retention=f)
-                result[:, cols] += fixes
-            result += 0.0   # BLAS may emit -0.0; the dense loop sums +0.0
-            return result
-
-        stack = self._weight_stack(programmed)
-        if "w_aug" in stack:   # multibit
-            return self._decode_patterns(programmed, stack, x_codes,
-                                         np.flatnonzero(active_x), temp_c, f)
-
-        # Shift-add weights for the final plane reduction; inactive
-        # activation bits are zeroed rather than branched over.
-        xw = np.where(active_x, 2.0 ** np.arange(bits_x), 0.0)
-        pw = programmed.signs * 2.0 ** programmed.plane_bits
-        scale = xw[:, None] * pw[None, :]            # (Bx, P)
-
-        per_row = (bits_x * programmed.n_planes * programmed.chunks
-                   * programmed.n)
-        block = max(1, int(self.block_budget // max(per_row, 1)))
-        for m0 in range(0, m, block):
-            m1 = min(m0 + block, m)
-            x32, n_x1 = self._x_stack(programmed, x_codes[m0:m1])
-            counts = self._decode_nominal(programmed, stack, x32, n_x1,
-                                          temp_c, f)
-            # counts: (Bx, Mb, P, n) exact integers -> shift-add reduction.
-            result[m0:m1] = np.tensordot(scale, counts, axes=([0, 1], [0, 2]))
+        if band is None:
+            return self._decode_patterns(programmed, x_codes, bits, temp_c,
+                                         f)
+        # A certified entry decodes ``S11`` for every activation bit, so
+        # the active bits' shift-add is the exact product plus the
+        # uncertified entries' corrections.  Every term is an integer below
+        # ``2**53``: bit-identical to the dense backend.
+        mask = int(np.sum(np.left_shift(1, bits)))
+        result = ((x_codes & mask).astype(np.float64)
+                  @ self._tile_weights(programmed))
+        if band.n_uncertified:
+            cols, fixes = self.corrections(programmed, band, x_codes, bits,
+                                           temp_c=temp_c, retention=f)
+            result[:, cols] += fixes
+        result += 0.0   # BLAS may emit -0.0; the dense loop sums +0.0
         return result
 
     def _tile_weights(self, programmed):
@@ -1168,48 +1116,35 @@ class FusedBitPlaneBackend(ArrayBackend):
         # Narrow codes shift several times faster (see CorrectionTable).
         dtype = np.uint16 if bits[-1] < 16 else np.int64
         shifts = bits.astype(dtype)[:, None, None]
+        grid = self._voltage_grid(temp_c, f)
+        # Blocks of rows and of entries, each (bit, row, entry, cell)
+        # intermediate within the budget; entries decode independently.
+        per_entry = bits.size * cells
+        rows = max(1, self.block_budget_variation // (per_entry * u))
+        span = max(1, self.block_budget_variation // (per_entry * rows))
         out = np.empty((m, band.cols.size))
-        block = max(1, int(self.block_budget_variation
-                           // (bits.size * u * cells)))
-        for m0 in range(0, m, block):
-            m1 = min(m0 + block, m)
-            xc = x_codes[m0:m1].astype(dtype).reshape(
-                m1 - m0, chunks, cells)[:, band.chunk]
-            xb = [((xc[None, :, :, e] >> shifts) & 1).astype(np.float64)
-                  for e in range(cells)]                  # (bits, mb, u)
-            n11 = sum(x * d for x, d in zip(xb, band.digits.T))
-            vacc = self._nominal_vacc(n11, band.w_sum, sum(xb), temp_c, f)
-            vacc = vacc + gain * _cell_offsets(xb, band.dv, programmed.n)
-            fixes = self.unit.sensor.decode(vacc) - n11.astype(np.int64)
-            shifted = (fixes << bits[:, None, None]).sum(axis=0)
-            out[m0:m1] = np.add.reduceat(shifted * band.scale, band.starts,
+        for m0 in range(0, m, rows):
+            m1 = min(m0 + rows, m)
+            xc = x_codes[m0:m1].astype(dtype).reshape(m1 - m0, chunks, cells)
+            fixes = np.empty((m1 - m0, u), np.int64)
+            for u0 in range(0, u, span):
+                part = slice(u0, u0 + span)
+                xs = xc[:, band.chunk[part]]
+                xb = [((xs[None, :, :, e] >> shifts) & 1).astype(np.float64)
+                      for e in range(cells)]              # (bits, mb, ub)
+                n11 = sum(x * d for x, d in zip(xb, band.digits[part].T))
+                vacc = self._nominal_vacc(grid, n11, band.w_sum[part],
+                                          sum(xb))
+                vacc = vacc + gain * _cell_offsets(xb, band.dv[part],
+                                                   programmed.n)
+                misread = self.unit.sensor.decode(vacc) - n11.astype(np.int64)
+                fixes[:, part] = (misread << bits[:, None, None]).sum(axis=0)
+            out[m0:m1] = np.add.reduceat(fixes * band.scale, band.starts,
                                          axis=1)
         return out
 
-    def _decode_nominal(self, programmed, stack, x32_block, n_x1_block,
-                        temp_c, retention=None):
-        """Integer LUT decode: no float arithmetic in the hot path.
-
-        The flat address is ``S11 * s11_stride + W * (cells+1) + n_x1``
-        with ``s11_stride = (cells*digit_max + 1) * (cells + 1)`` — for
-        single-bit arrays that is exactly the seed's
-        ``n11 * (cells+1)^2 + wc9 + n_x1`` arithmetic, value for value.
-        Drift only swaps the LUT (the addresses are pure counts).
-        """
-        lut = self.decode_lut(temp_c, retention)
-        dtype = stack["idx_dtype"]
-        n11 = self._pair_counts(programmed, x32_block, stack["w32"])
-        idx = n11.astype(dtype)
-        idx *= dtype((programmed.cells * programmed.digit_max + 1)
-                     * (programmed.cells + 1))
-        idx += stack["wc9"][None, None, :, :, :]
-        idx += n_x1_block.astype(dtype)[:, :, None, :, None]
-        decoded = lut[idx]
-        return decoded.sum(axis=3, dtype=np.int64)
-
-    def _decode_patterns(self, programmed, stack, x_codes, bits, temp_c,
-                         f):
-        """Multibit nominal decode, once per distinct chunk input pattern.
+    def _decode_patterns(self, programmed, x_codes, bits, temp_c, f):
+        """Nominal decode, once per distinct chunk input pattern.
 
         A nominal chunk's decoded count depends only on its ``cells``
         input bits, so the (active bit, row) instances driving one chunk
@@ -1226,6 +1161,7 @@ class FusedBitPlaneBackend(ArrayBackend):
         elements.
         """
         lut = self.decode_lut(temp_c, f)
+        stack = self._weight_stack(programmed)
         m, b = x_codes.shape[0], bits.size
         cells, chunks = programmed.cells, programmed.chunks
         p, n = programmed.n_planes, programmed.n

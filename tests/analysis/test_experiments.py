@@ -177,3 +177,14 @@ class TestDecodeErrors:
         assert proposed[27.0] == 0.0
         assert proposed[85.0] == 0.0
         assert baseline[85.0] > proposed[85.0]
+
+    def test_temperatures_past_the_default_grid(self):
+        """Requested temperatures join the units' calibration grid, so
+        100 degC reads simulated levels instead of raising."""
+        result = E.mac_decode_errors(temps_c=(0.0, 27.0, 100.0),
+                                     n_vectors=16)
+        assert result["error_rates"]["2T-1FeFET"][100.0] == 0.0
+        assert result["error_rates"]["1FeFET-1R sub"][100.0] > 0.5
+        mlc = E.mlc_temperature(bits_per_cell=(2,), temps_c=(27.0, 100.0),
+                                n_vectors=4)
+        assert mlc["results"][2]["exact_decode"][27.0] == 1.0

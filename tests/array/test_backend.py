@@ -8,6 +8,8 @@ nominal and variation-programmed arrays.  Plus weight-stationary semantics
 range validation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,25 +79,10 @@ class TestDenseFusedEquivalence:
                 b = fused.matmul(pf, x, temp_c=temp)
                 assert np.array_equal(a, b), (shape, temp)
 
-    def test_bit_exact_for_wide_rows(self):
-        """cells_per_row >= 32 overflows an int16 LUT address — the index
-        dtype must widen so wide-row configs stay bit-exact."""
-        wide = BitSerialMacUnit(TwoTOneFeFETCell(), BehavioralMacConfig(
-            cells_per_row=32, bits_x=4, bits_w=4,
-            temp_grid_c=(0.0, 27.0, 85.0)))
-        dense, fused = DenseNumpyBackend(wide), FusedBitPlaneBackend(wide)
-        x = np.full((2, 32), 15)
-        w = np.full((32, 3), 7)
-        a = dense.matmul(dense.program(w), x, temp_c=27.0)
-        b = fused.matmul(fused.program(w), x, temp_c=27.0)
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, x @ w)
-
     @pytest.mark.parametrize("bits_per_cell", [1, 2])
     def test_fused_row_blocking_is_exact(self, unit, bits_per_cell):
-        """Tiny block budget changes nothing: one-row blocks on the
-        single-bit path, one-chunk blocks on the multibit pattern
-        decode."""
+        """Tiny block budget changes nothing: the pattern decode runs
+        one-chunk blocks at every bits per cell."""
         unit = BitSerialMacUnit(TwoTOneFeFETCell(), BehavioralMacConfig(
             bits_x=4, bits_w=4, temp_grid_c=(0.0, 27.0, 85.0),
             bits_per_cell=bits_per_cell), calibration=unit.calibration())
@@ -108,21 +95,69 @@ class TestDenseFusedEquivalence:
             fused.matmul(fused.program(w), x, temp_c=85.0),
             dense.matmul(dense.program(w), x, temp_c=85.0))
 
-    def test_multibit_rows_too_wide_for_the_pattern_decode(self, unit):
-        """A 32-cell row has 2**32 input patterns, too many to tabulate,
-        so its 2-bit tiles keep the integer-index LUT decode — still
-        bit-exact."""
+    @pytest.mark.parametrize(
+        "temp, retention", [(27.0, None), (85.0, None), (27.0, 0.8)],
+        ids=["27C", "85C", "27C-r0.8"])
+    @pytest.mark.parametrize("bits_per_cell", [1, 2])
+    def test_rows_too_wide_for_the_pattern_decode(self, unit, bits_per_cell,
+                                                  temp, retention):
+        """A 32-cell row has 2**32 input patterns, too many to enumerate,
+        so a nominal tile serves on a zero-offset guard band: the exact
+        GEMM plus per-instance corrections of the entries at digit sums
+        the nominal decode can misread.  Off the exact-decode gate the
+        band leaves such entries uncertified; at every key it matches the
+        dense oracle bit for bit (and its int32 LUT addresses)."""
         wide = BitSerialMacUnit(TwoTOneFeFETCell(), BehavioralMacConfig(
             cells_per_row=32, bits_x=4, bits_w=4,
-            temp_grid_c=(0.0, 27.0, 85.0), bits_per_cell=2),
+            temp_grid_c=(0.0, 27.0, 85.0), bits_per_cell=bits_per_cell),
             calibration=unit.calibration())
         dense, fused = DenseNumpyBackend(wide), FusedBitPlaneBackend(wide)
         x, w = _operands(np.random.default_rng(3), (3, 70, 2))
+        # Full chunks of 7s reach the top digit sums, where 1 bit at
+        # 85 degC and 2 bits at 27 degC misread; one row drives them all.
+        w[:, 0], x[0] = 7, 15
         pd, pf = dense.program(w), fused.program(w)
         assert "w_aug" not in fused._weight_stack(pf)
-        for temp in (27.0, 85.0):
-            assert np.array_equal(dense.matmul(pd, x, temp_c=temp),
-                                  fused.matmul(pf, x, temp_c=temp))
+        assert np.array_equal(
+            dense.matmul(pd, x, temp_c=temp, retention=retention),
+            fused.matmul(pf, x, temp_c=temp, retention=retention))
+        band = fused.guard_band(pf, temp, retention)
+        assert not band.dv.any()
+        assert (band.n_uncertified > 0) is not fused.exact_decode(
+            temp, retention)
+
+    def test_wide_tile_decode_stays_within_the_variation_budget(
+            self, unit, monkeypatch):
+        """One activation row of a 32-cell tile's uncertified entries
+        outgrows a small ``block_budget_variation``; the per-instance
+        decode then blocks over entries too, so its peak memory follows
+        the budget, not the tile, and its corrections stay bit-exact."""
+        budget = 2 ** 16
+        monkeypatch.setattr(FusedBitPlaneBackend, "block_budget_variation",
+                            budget)
+        wide = BitSerialMacUnit(TwoTOneFeFETCell(), BehavioralMacConfig(
+            cells_per_row=32, bits_x=8, bits_w=8,
+            temp_grid_c=(0.0, 27.0, 85.0), sigma_vth_fefet=54e-3, seed=5),
+            calibration=unit.calibration())
+        dense, fused = DenseNumpyBackend(wide), FusedBitPlaneBackend(wide)
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 256, size=(6, 128))
+        w = rng.integers(-127, 128, size=(128, 64))
+        pd = dense.program(w, rng=np.random.default_rng(9))
+        pf = fused.program(w, rng=np.random.default_rng(9))
+        band = fused.guard_band(pf, 27.0)
+        bits = np.arange(8)
+        assert band.table is None
+        assert band.n_uncertified * bits.size * pf.cells > 8 * budget
+        tracemalloc.start()
+        try:
+            fused.corrections(pf, band, x, bits, temp_c=27.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * budget * np.dtype(np.float64).itemsize
+        assert np.array_equal(fused.matmul(pf, x, temp_c=27.0),
+                              dense.matmul(pd, x, temp_c=27.0))
 
 
 class TestDecodedVsIdeal:

@@ -3,18 +3,22 @@ oracle bit for bit.
 
 Hypothesis draws the model shape, cells per row, a possibly ragged
 tiling, bits per cell, temperature, retention and variation sigma, which
-between them reach every fused path — the exact GEMM, the nominal LUT
-decode, the multibit pattern decode and the certified guard band with
-its per-pattern tables and per-instance decode — and compares the fused
-chip's logits and metering with its dense twin's.  Explicit examples
-serve the benchmark's chips, the reduced VGG on 32x16 tiles: at 2 bits
-per cell, 16 copies of one image off the exact gate, so nearly every
-pattern-decode instance repeats; at sigma = 54 mV, 16 distinct images
-at 27 and 85 degC, which run every layer as one GEMM plus the guard
-bands' per-pattern correction tables, and the same chip off the exact
-gate — at 2 bits per cell and 85 degC (undrifted), and at 1 bit per
-cell, 27 degC and retention 0.8 (drifted) — where the bands leave the
-entries at misdecoding digit sums to their tables.
+between them reach every fused path — the exact GEMM, the pattern decode
+and the certified guard band with its per-pattern tables and
+per-instance decode — and compares the fused chip's logits and metering
+with its dense twin's.  Explicit examples serve the benchmark's chips,
+the reduced VGG on 32x16 tiles: at 2 bits per cell, 16 copies of one
+image off the exact gate, so nearly every pattern-decode instance
+repeats; at sigma = 54 mV, 16 distinct images at 27 and 85 degC, which
+run every layer as one GEMM plus the guard bands' per-pattern correction
+tables, and the same chip off the exact gate — at 2 bits per cell and
+85 degC (undrifted), and at 1 bit per cell, 27 degC and retention 0.8
+(drifted) — where the bands leave the entries at misdecoding digit sums
+to their tables.  Two more serve the nominal model on 32-cell rows, too
+wide for the pattern decode, off the exact gate (1 bit per cell at
+retention 0.8, 2 bits per cell at 85 degC): its tiles run zero-offset
+guard bands, which decode the entries at misdecoding digit sums per
+instance.
 """
 
 import numpy as np
@@ -75,6 +79,14 @@ def variation_chip(temp, bits_per_cell=1, retention=None):
     return model, mapping, temp, retention, x
 
 
+def wide_row_chip(temp, bits_per_cell, retention=None):
+    model, _ = build_serving_workload(0, width=4, image_size=8, seed=0)
+    x = np.random.default_rng(3).normal(size=(4, 8, 8, 3))
+    mapping = dict(cells_per_row=32, tile_rows=64,
+                   bits_per_cell=bits_per_cell)
+    return model, mapping, temp, retention, x
+
+
 @given(scenario=scenarios())
 @example(scenario=benchmark_chip(27.0, 0.65))
 @example(scenario=benchmark_chip(85.0, None))
@@ -82,6 +94,8 @@ def variation_chip(temp, bits_per_cell=1, retention=None):
 @example(scenario=variation_chip(85.0))
 @example(scenario=variation_chip(85.0, bits_per_cell=2))
 @example(scenario=variation_chip(27.0, retention=0.8))
+@example(scenario=wide_row_chip(27.0, 1, retention=0.8))
+@example(scenario=wide_row_chip(85.0, 2))
 @settings(max_examples=30, deadline=None)
 def test_fused_chip_matches_dense_oracle(twins, scenario):
     model, mapping, temp, retention, x = scenario
